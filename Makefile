@@ -29,12 +29,14 @@ bench:
 # million-processor benchmarks bound the suite's wall time instead of
 # filling a benchtime. The serving benchmarks run without -benchmem: HTTP
 # allocation counts are scheduler-dependent, and the exact-allocs gate
-# would trip on noise — req/sec and p99_us are their gated metrics.
+# would trip on noise — req/sec and p99_us are their gated metrics. The
+# patterns are anchored so each benchmark runs in exactly one pass (Sweep
+# once also matched ServdBatchSweep); benchjson refuses a duplicate.
 bench-json:
-	{ $(GO) test -bench='Portfolio|Memoized|Sweep|SimReplay|Construct' -benchmem -run=^$$ \
+	{ $(GO) test -bench='^Benchmark(SolverPortfolio|SolverMemoized|Sweep|SimReplay|Construct|ScheduleWriteJSON)' -benchmem -run=^$$ \
 		./internal/continuous/ ./internal/bench/ ./internal/sim/ ; \
-	  $(GO) test -bench='Servd' -run=^$$ ./internal/bench/ ; \
-	  $(GO) test -bench='Scale' -benchtime 2x -benchmem -run=^$$ ./internal/bench/ ; } \
+	  $(GO) test -bench='^BenchmarkServd' -run=^$$ ./internal/bench/ ; \
+	  $(GO) test -bench='^BenchmarkScale' -benchtime 2x -benchmem -run=^$$ ./internal/bench/ ; } \
 		| $(GO) run ./cmd/benchjson > BENCH_3.json
 	@cat BENCH_3.json
 
@@ -45,10 +47,10 @@ bench-json:
 # The scale metrics gate direction-aware: events/sec on drops, peak RSS on
 # growth, both with generous fractions since they ride on wall time.
 bench-gate:
-	{ $(GO) test -bench='Portfolio|Memoized|Sweep|SimReplay|Construct' -benchmem -run=^$$ \
+	{ $(GO) test -bench='^Benchmark(SolverPortfolio|SolverMemoized|Sweep|SimReplay|Construct|ScheduleWriteJSON)' -benchmem -run=^$$ \
 		./internal/continuous/ ./internal/bench/ ./internal/sim/ ; \
-	  $(GO) test -bench='Servd' -run=^$$ ./internal/bench/ ; \
-	  $(GO) test -bench='Scale' -benchtime 2x -benchmem -run=^$$ ./internal/bench/ ; } \
+	  $(GO) test -bench='^BenchmarkServd' -run=^$$ ./internal/bench/ ; \
+	  $(GO) test -bench='^BenchmarkScale' -benchtime 2x -benchmem -run=^$$ ./internal/bench/ ; } \
 		| $(GO) run ./cmd/benchjson > BENCH_gate.json
 	$(GO) run ./cmd/benchdiff $(if $(CI),,-strict) \
 		-extra 'events/sec=0.25,peak_rss_bytes=0.25,req/sec=0.5,p99_us=0.5' \
@@ -104,10 +106,12 @@ servd-smoke:
 	$(GO) run ./cmd/servdsmoke -bin ./servd-smoke-bin -sched ./servd-smoke-sched
 	@rm -f servd-smoke-bin servd-smoke-sched
 
-# Short fuzzing pass over the schedule validator and the conformance harness.
+# Short fuzzing pass over the schedule validator and JSON encoder and the
+# conformance harness.
 fuzz:
 	$(GO) test -fuzz=FuzzValidate -fuzztime=30s ./internal/schedule/
 	$(GO) test -fuzz=FuzzValidatorConsistency -fuzztime=30s ./internal/schedule/
+	$(GO) test -fuzz=FuzzWriteJSON -fuzztime=30s ./internal/schedule/
 	$(GO) test -fuzz=FuzzConform -fuzztime=30s ./internal/conform/
 	$(GO) test -fuzz=FuzzCausal -fuzztime=30s ./internal/obs/causal/
 

@@ -9,7 +9,8 @@
 // B/op and allocs/op. Any other (value, unit) pair a benchmark reported via
 // b.ReportMetric (nodes/op, memohits/op, events/sec, peak_rss_bytes, ...)
 // lands verbatim in the "extra" map. Lines that are not benchmark results
-// are ignored, so the full `go test` output can be piped in unfiltered.
+// are ignored, so the full `go test` output can be piped in unfiltered. A
+// benchmark that appears twice is an error, not a second entry.
 //
 // GOMAXPROCS handling: go test appends "-N" to a result's name only when it
 // ran with GOMAXPROCS=N != 1, and benchmark names themselves may end in
@@ -26,23 +27,18 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
 	"strings"
+
+	"logpopt/internal/benchcmp"
 )
 
-type result struct {
-	Name       string             `json:"name"`
-	GoMaxProcs int                `json:"gomaxprocs"`
-	Package    string             `json:"package,omitempty"`
-	Iterations int64              `json:"iterations"`
-	NsPerOp    float64            `json:"ns_per_op"`
-	WallS      float64            `json:"wall_s"`
-	BytesPerOp int64              `json:"bytes_per_op,omitempty"`
-	AllocsOp   int64              `json:"allocs_per_op,omitempty"`
-	Extra      map[string]float64 `json:"extra,omitempty"`
-}
+// result is the record benchcmp reads back; its Key is the identity a
+// duplicate would shadow.
+type result = benchcmp.Result
 
 // parseLine converts one benchmark result line. procs is the GOMAXPROCS the
 // run used: a trailing "-procs" on the name is the framework's suffix and is
@@ -91,13 +87,15 @@ func parseLine(line string, procs int) (result, bool) {
 	return r, r.NsPerOp > 0
 }
 
-func main() {
-	procs := flag.Int("gomaxprocs", runtime.GOMAXPROCS(0),
-		"GOMAXPROCS the benchmark run used (the \"-N\" name suffix go test appends); defaults to this process's value, override when converting output recorded on another machine")
-	flag.Parse()
-	var results []result
+// parse reads `go test -bench` output and returns its results in order.
+// It refuses a benchmark recorded twice (same package, name and
+// GOMAXPROCS): benchcmp keys results by that triple, so the second entry
+// would silently shadow the first.
+func parse(in io.Reader, procs int) ([]result, error) {
+	results := []result{} // encode as [], not null, when nothing matched
+	seen := map[string]bool{}
 	pkg := ""
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
@@ -105,17 +103,27 @@ func main() {
 			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 			continue
 		}
-		if r, ok := parseLine(line, *procs); ok {
+		if r, ok := parseLine(line, procs); ok {
 			r.Package = pkg
+			key := r.Key()
+			if seen[key] {
+				return nil, fmt.Errorf("benchmark %s recorded twice (do two -bench patterns match it?)", key)
+			}
+			seen[key] = true
 			results = append(results, r)
 		}
 	}
-	if err := sc.Err(); err != nil {
+	return results, sc.Err()
+}
+
+func main() {
+	procs := flag.Int("gomaxprocs", runtime.GOMAXPROCS(0),
+		"GOMAXPROCS the benchmark run used (the \"-N\" name suffix go test appends); defaults to this process's value, override when converting output recorded on another machine")
+	flag.Parse()
+	results, err := parse(os.Stdin, *procs)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
-	}
-	if results == nil {
-		results = []result{} // emit [], not null, when nothing matched
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")

@@ -12,7 +12,7 @@ import (
 	"strings"
 )
 
-// Result mirrors one cmd/benchjson record.
+// Result is one cmd/benchjson record; benchjson emits this type.
 type Result struct {
 	Name       string             `json:"name"`
 	GoMaxProcs int                `json:"gomaxprocs"`

@@ -30,6 +30,13 @@ import (
 // before hard-closing their connections.
 const closeGrace = 2 * time.Second
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so a client that never finishes them cannot hold a
+// connection forever. There is deliberately no WriteTimeout: multi-MB
+// schedule bodies to slow readers are legitimate. A variable so tests can
+// shorten it.
+var readHeaderTimeout = 10 * time.Second
+
 // Server is an HTTP front end over a metrics registry, a set of named trace
 // documents, run reports, and an optional time-series collector. The zero
 // value is not usable; call New.
@@ -235,7 +242,7 @@ func (s *Server) Start(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("telemetry server: listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: s.Handler()}
+	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	s.mu.Lock()
 	s.ln, s.srv = ln, srv
 	s.mu.Unlock()

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -97,6 +98,39 @@ func TestStartClose(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal("second Close must be a no-op:", err)
+	}
+}
+
+// TestHeaderTimeoutDisconnects: a client that starts a request and never
+// finishes its headers is disconnected after readHeaderTimeout instead of
+// holding the connection open.
+func TestHeaderTimeoutDisconnects(t *testing.T) {
+	old := readHeaderTimeout
+	readHeaderTimeout = 100 * time.Millisecond
+	t.Cleanup(func() { readHeaderTimeout = old })
+	s := New(obs.NewRegistry())
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// No blank line: the headers never end.
+	if _, err := io.WriteString(conn, "GET /metrics HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(5 * time.Second)) //nolint:errcheck
+	body, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatalf("connection still open after %v: %v", time.Since(start), err)
+	}
+	if strings.Contains(string(body), "200 OK") {
+		t.Fatalf("half-sent request was served: %q", body)
 	}
 }
 

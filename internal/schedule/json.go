@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 
 	"logpopt/internal/logp"
 )
@@ -12,7 +13,8 @@ import (
 // from) external tooling — visualizers, other simulators, trace stores.
 // The format is stable and versioned.
 
-// jsonSchedule is the on-wire shape.
+// jsonSchedule is the on-wire shape. ReadJSON decodes into it; AppendJSON
+// writes the same shape by hand.
 type jsonSchedule struct {
 	Version int         `json:"version"`
 	Machine jsonMachine `json:"machine"`
@@ -35,20 +37,108 @@ type jsonEvent struct {
 	Dur  logp.Time `json:"dur,omitempty"`
 }
 
-// WriteJSON serializes the schedule.
+// WriteJSON serializes the schedule in one Write of AppendJSON's bytes.
 func (s *Schedule) WriteJSON(w io.Writer) error {
-	js := jsonSchedule{
-		Version: 1,
-		Machine: jsonMachine{P: s.M.P, L: s.M.L, O: s.M.O, G: s.M.G},
-		Events:  make([]jsonEvent, 0, len(s.Events)),
+	_, err := w.Write(s.AppendJSON(nil))
+	return err
+}
+
+// AppendJSON appends the schedule's interchange JSON to b and returns the
+// extended slice. The bytes are exactly what encoding/json emits for the
+// wire structs below (peer and dur omitted when zero, "events":[] when
+// empty, a trailing newline); the package's tests hold it to that oracle.
+// A length pass sizes the output first, so when b lacks the room it grows
+// once to exactly len(b)+size: AppendJSON(nil) has cap == len.
+func (s *Schedule) AppendJSON(b []byte) []byte {
+	n := s.jsonSize()
+	if cap(b)-len(b) < n {
+		nb := make([]byte, len(b), len(b)+n)
+		copy(nb, b)
+		b = nb
 	}
-	for _, e := range s.Events {
-		js.Events = append(js.Events, jsonEvent{
-			Proc: e.Proc, Time: e.Time, Op: e.Op.String(), Item: e.Item, Peer: e.Peer, Dur: e.Dur,
-		})
+	b = append(b, `{"version":1,"machine":{"p":`...)
+	b = strconv.AppendInt(b, int64(s.M.P), 10)
+	b = append(b, `,"l":`...)
+	b = strconv.AppendInt(b, s.M.L, 10)
+	b = append(b, `,"o":`...)
+	b = strconv.AppendInt(b, s.M.O, 10)
+	b = append(b, `,"g":`...)
+	b = strconv.AppendInt(b, s.M.G, 10)
+	b = append(b, `},"events":[`...)
+	for i := range s.Events {
+		e := &s.Events[i]
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"proc":`...)
+		b = strconv.AppendInt(b, int64(e.Proc), 10)
+		b = append(b, `,"time":`...)
+		b = strconv.AppendInt(b, e.Time, 10)
+		b = append(b, `,"op":"`...)
+		switch e.Op {
+		case OpSend, OpRecv, OpCompute:
+			b = append(b, e.Op.String()...)
+		default:
+			// Op.String's fallback, without fmt; no byte of it needs escaping.
+			b = append(b, "op("...)
+			b = strconv.AppendInt(b, int64(e.Op), 10)
+			b = append(b, ')')
+		}
+		b = append(b, `","item":`...)
+		b = strconv.AppendInt(b, int64(e.Item), 10)
+		if e.Peer != 0 {
+			b = append(b, `,"peer":`...)
+			b = strconv.AppendInt(b, int64(e.Peer), 10)
+		}
+		if e.Dur != 0 {
+			b = append(b, `,"dur":`...)
+			b = strconv.AppendInt(b, e.Dur, 10)
+		}
+		b = append(b, '}')
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(js)
+	return append(b, "]}\n"...)
+}
+
+// jsonSize is the exact length of AppendJSON's output: the fixed key
+// literals plus a decimal digit count per field.
+func (s *Schedule) jsonSize() int {
+	n := len(`{"version":1,"machine":{"p":,"l":,"o":,"g":},"events":[]}`+"\n") +
+		intLen(int64(s.M.P)) + intLen(s.M.L) + intLen(s.M.O) + intLen(s.M.G)
+	if len(s.Events) > 0 {
+		n += len(s.Events) - 1 // separating commas
+	}
+	for i := range s.Events {
+		e := &s.Events[i]
+		n += len(`{"proc":,"time":,"op":"","item":}`) +
+			intLen(int64(e.Proc)) + intLen(e.Time) + intLen(int64(e.Item))
+		switch e.Op {
+		case OpSend, OpRecv, OpCompute:
+			n += 4 // "send", "recv", "comp"
+		default:
+			n += len("op()") + intLen(int64(e.Op))
+		}
+		if e.Peer != 0 {
+			n += len(`,"peer":`) + intLen(int64(e.Peer))
+		}
+		if e.Dur != 0 {
+			n += len(`,"dur":`) + intLen(e.Dur)
+		}
+	}
+	return n
+}
+
+// intLen is the length of strconv.AppendInt(nil, v, 10).
+func intLen(v int64) int {
+	n := 1
+	u := uint64(v)
+	if v < 0 {
+		n++
+		u = -u // two's complement: also right for math.MinInt64
+	}
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
 }
 
 // ReadJSON deserializes a schedule written by WriteJSON.

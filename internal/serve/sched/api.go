@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"logpopt/internal/logp"
-	"logpopt/internal/logtime"
 	"logpopt/internal/obs"
 	"logpopt/internal/obs/causal"
 	"logpopt/internal/par"
@@ -175,8 +174,8 @@ type Envelope struct {
 func envelope(res *Result, out Outcome, withSchedule bool) Envelope {
 	k := res.Key
 	gap := logp.Time(0)
-	if res.C.Bound >= 0 {
-		gap = res.Finish - res.C.Bound
+	if res.Bound >= 0 {
+		gap = res.Finish - res.Bound
 	}
 	e := Envelope{
 		Key:         k.String(),
@@ -186,9 +185,9 @@ func envelope(res *Result, out Outcome, withSchedule bool) Envelope {
 		K:           k.K,
 		Deadline:    k.Deadline,
 		Finish:      res.Finish,
-		Bound:       res.C.Bound,
+		Bound:       res.Bound,
 		Gap:         gap,
-		Events:      len(res.C.S.Events),
+		Events:      res.Events,
 		Cache:       out,
 		SolveMicros: res.SolveMicros,
 	}
@@ -446,21 +445,23 @@ func (a *API) handleExplain(w http.ResponseWriter, r *http.Request, ri *reqInfo)
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// The schedule came from the cache; the causal analysis itself is cheap
-	// relative to solving and is recomputed per request, exactly as
-	// `logpsched -explain` computes it.
+	// The cache keeps only the serialized schedule, so the analysis
+	// recompiles it: Compile is deterministic, and the causal analysis
+	// needs the events anyway. This is exactly how `logpsched -explain`
+	// computes it.
 	key := res.Key
-	rep := causal.Analyze(res.C.S, DerivedOrigins(res.C.S))
-	mode := key.Constructor
-	if mode == "" {
-		mode = "auto"
-	}
-	tb, _, err := logtime.Select(mode, key.P)
+	tb, err := key.TreeBuilder()
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	if err := ApplyBound(rep, res.C, key.Machine(), tb); err != nil {
+	comp, err := Compile(key.Machine(), key.Op, key.K, key.Deadline, tb)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	rep := causal.Analyze(comp.S, DerivedOrigins(comp.S))
+	if err := ApplyBound(rep, comp, key.Machine(), tb); err != nil {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
@@ -470,8 +471,8 @@ func (a *API) handleExplain(w http.ResponseWriter, r *http.Request, ri *reqInfo)
 		fmt.Fprint(w, rep.String())
 	case "json":
 		gap := logp.Time(0)
-		if res.C.Bound >= 0 {
-			gap = res.Finish - res.C.Bound
+		if res.Bound >= 0 {
+			gap = res.Finish - res.Bound
 		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(explainJSON{ //nolint:errcheck // client disconnects only
@@ -479,7 +480,7 @@ func (a *API) handleExplain(w http.ResponseWriter, r *http.Request, ri *reqInfo)
 			Op:       key.Op,
 			Machine:  machineJSON{P: key.P, L: key.L, O: key.O, G: key.G},
 			Finish:   res.Finish,
-			Bound:    res.C.Bound,
+			Bound:    res.Bound,
 			Gap:      gap,
 			Steps:    len(rep.Path),
 			Achieved: toBreakdownJSON(rep.Achieved),

@@ -3,6 +3,7 @@ package sched
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"logpopt/internal/logp"
 	"logpopt/internal/logtime"
 	"logpopt/internal/obs"
 	"logpopt/internal/schedule"
@@ -271,6 +273,77 @@ func TestExplainEndpoint(t *testing.T) {
 	// The schedule itself came from the cache (the first explain solved it).
 	if ex.Cache != Hit {
 		t.Fatalf("second explain cache = %q, want hit", ex.Cache)
+	}
+}
+
+// TestExplainSameOnMissAndHit: /v1/explain recompiles the schedule it
+// analyzes, so a cold answer and a cached one must read identically (the
+// JSON differing only in its cache field).
+func TestExplainSameOnMissAndHit(t *testing.T) {
+	for _, q := range []string{
+		"op=broadcast&p=64&l=6&o=2&g=4",
+		"op=binomial&p=16&l=6&o=2&g=4",
+		"op=summation&p=8&l=6&o=2&g=4&t=28",
+		"op=alltoall&p=6&l=5&o=1&g=3&k=2",
+	} {
+		for _, format := range []string{"text", "json"} {
+			a, _ := newTestAPI(t)
+			h := a.Handler()
+			url := "/v1/explain?" + q + "&format=" + format
+			rec, miss := get(t, h, url)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: status %d, body %s", url, rec.Code, miss)
+			}
+			_, hit := get(t, h, url)
+			if format == "json" {
+				miss = bytes.Replace(miss, []byte(`"cache":"miss"`), []byte(`"cache":"hit"`), 1)
+			}
+			if !bytes.Equal(miss, hit) {
+				t.Fatalf("%s: miss and hit differ:\nmiss %s\nhit  %s", url, miss, hit)
+			}
+		}
+	}
+}
+
+// TestEnvelopeNumbersMatchCompile: for every op the envelope's events,
+// finish, bound and gap, served from the cache's numbers rather than a
+// kept schedule, equal a fresh Compile's, on the miss and on the hit.
+func TestEnvelopeNumbersMatchCompile(t *testing.T) {
+	a, _ := newTestAPI(t)
+	h := a.Handler()
+	for _, op := range Ops {
+		req := Request{Op: op, P: 8, L: 6, O: 2, G: 4, K: 2, Deadline: 28}
+		key := testKey(t, req)
+		tb, err := key.TreeBuilder()
+		if err != nil {
+			t.Fatal(err)
+		}
+		comp, err := Compile(key.Machine(), key.Op, key.K, key.Deadline, tb)
+		if err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		gap := logp.Time(0)
+		if comp.Bound >= 0 {
+			gap = comp.S.Makespan() - comp.Bound
+		}
+		url := fmt.Sprintf("/v1/schedule?op=%s&p=%d&l=%d&o=%d&g=%d&k=%d&t=%d&schedule=false",
+			op, req.P, req.L, req.O, req.G, req.K, req.Deadline)
+		for _, want := range []Outcome{Miss, Hit} {
+			rec, body := get(t, h, url)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: status %d, body %s", op, rec.Code, body)
+			}
+			var env Envelope
+			if err := json.Unmarshal(body, &env); err != nil {
+				t.Fatal(err)
+			}
+			if env.Cache != want || env.Events != len(comp.S.Events) || env.Finish != comp.S.Makespan() ||
+				env.Bound != comp.Bound || env.Gap != gap {
+				t.Fatalf("%s (%s): envelope events=%d finish=%d bound=%d gap=%d, compile events=%d finish=%d bound=%d gap=%d",
+					op, env.Cache, env.Events, env.Finish, env.Bound, env.Gap,
+					len(comp.S.Events), comp.S.Makespan(), comp.Bound, gap)
+			}
+		}
 	}
 }
 

@@ -1,14 +1,11 @@
 package sched
 
 import (
-	"bytes"
 	"container/list"
-	"fmt"
 	"sync"
 	"time"
 
 	"logpopt/internal/logp"
-	"logpopt/internal/logtime"
 	"logpopt/internal/obs"
 )
 
@@ -26,16 +23,23 @@ const (
 	Coalesced Outcome = "coalesced"
 )
 
-// Result is one cached answer: the compiled schedule, its serialized JSON
-// (the exact bytes schedule.WriteJSON emits, so /v1/schedule?format=schedule
-// is byte-identical to `logpsched -render json`), and the outcome metadata.
+// Result is one cached answer: the schedule's serialized JSON (the exact
+// bytes schedule.WriteJSON emits, so /v1/schedule?format=schedule is
+// byte-identical to `logpsched -render json`), the numbers the envelope
+// reports about it, and the outcome metadata. The compiled schedule itself
+// is not kept: the budget charges an entry for what it pins, and
+// /v1/explain recompiles the (deterministic) schedule it analyzes.
 type Result struct {
 	Key         Key
-	C           *Compiled
-	JSON        []byte
+	JSON        []byte    // exact-size: cap(JSON) == len(JSON)
+	Bound       logp.Time // Compiled.Bound: the closed-form bound, -1 when none is known
 	Finish      logp.Time
+	Events      int
 	SolveMicros int64
 }
+
+// entryOverhead is what the budget charges an entry beyond its JSON bytes.
+const entryOverhead = 64
 
 // entry is one cache slot. Until ready is closed the entry is in flight:
 // later requests for the key block on ready instead of solving (the
@@ -179,7 +183,7 @@ func (c *Cache) Get(k Key) (*Result, Outcome, error) {
 		return nil, Miss, err
 	}
 	e.res = res
-	e.bytes = int64(len(res.JSON)) + 64
+	e.bytes = int64(cap(res.JSON)) + entryOverhead
 	e.elem = sh.lru.PushFront(k)
 	sh.bytes += e.bytes
 	c.evictLocked(sh)
@@ -212,11 +216,7 @@ func (c *Cache) evictLocked(sh *shard) {
 
 // solve compiles the key's schedule and serializes it once.
 func (c *Cache) solve(k Key) (*Result, error) {
-	mode := k.Constructor
-	if mode == "" {
-		mode = "auto"
-	}
-	tb, _, err := logtime.Select(mode, k.P)
+	tb, err := k.TreeBuilder()
 	if err != nil {
 		return nil, err
 	}
@@ -225,17 +225,15 @@ func (c *Cache) solve(k Key) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var b bytes.Buffer
-	if err := comp.S.WriteJSON(&b); err != nil {
-		return nil, fmt.Errorf("serializing schedule for %s: %w", k, err)
-	}
+	b := comp.S.AppendJSON(nil)
 	us := time.Since(start).Microseconds()
 	c.hSolve.Observe(us)
 	return &Result{
 		Key:         k,
-		C:           comp,
-		JSON:        b.Bytes(),
+		JSON:        b,
+		Bound:       comp.Bound,
 		Finish:      comp.S.Makespan(),
+		Events:      len(comp.S.Events),
 		SolveMicros: us,
 	}, nil
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -203,5 +204,32 @@ func TestSolveErrorMentionsOp(t *testing.T) {
 	_, _, err := c.Get(k)
 	if err == nil || !strings.Contains(err.Error(), "unknown op") {
 		t.Fatalf("err = %v, want unknown-op error", err)
+	}
+}
+
+// TestCacheKeepsOnlyWhatItCounts: a cached answer pins its exact-size JSON
+// and a few numbers — no compiled schedule, no event slice — and the byte
+// budget charges it cap(JSON) plus the fixed overhead.
+func TestCacheKeepsOnlyWhatItCounts(t *testing.T) {
+	rt := reflect.TypeOf(Result{})
+	for i := 0; i < rt.NumField(); i++ {
+		f := rt.Field(i)
+		switch f.Type.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Interface:
+			if f.Name != "JSON" {
+				t.Errorf("Result.%s (%s) pins memory the budget does not count", f.Name, f.Type)
+			}
+		}
+	}
+	c := NewCache(1, 0, obs.NewRegistry())
+	res, _, err := c.Get(testKey(t, Request{Op: "broadcast", P: 1000, L: 6, O: 2, G: 4, K: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(res.JSON) != len(res.JSON) {
+		t.Fatalf("cached JSON has len %d cap %d, want exact size", len(res.JSON), cap(res.JSON))
+	}
+	if got, want := c.Stats()[0].Bytes, int64(cap(res.JSON))+entryOverhead; got != want {
+		t.Fatalf("shard charges %d bytes, want cap(JSON)+%d = %d", got, entryOverhead, want)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"logpopt/internal/core"
 	"logpopt/internal/logp"
 	"logpopt/internal/logtime"
 )
@@ -58,6 +59,17 @@ func (k Key) String() string {
 // Machine rebuilds the validated machine the key describes.
 func (k Key) Machine() logp.Machine {
 	return logp.Machine{P: k.P, L: k.L, O: k.O, G: k.G}
+}
+
+// TreeBuilder resolves the key's constructor to the tree builder its solve
+// uses; non-tree ops (Constructor "") get auto's choice, which they ignore.
+func (k Key) TreeBuilder() (core.TreeBuilder, error) {
+	mode := k.Constructor
+	if mode == "" {
+		mode = "auto"
+	}
+	tb, _, err := logtime.Select(mode, k.P)
+	return tb, err
 }
 
 // Canonicalize validates req and folds every don't-care dimension away:
