@@ -69,7 +69,7 @@ bench-scale:
 # assert the emitted file is non-empty, Perfetto-loadable trace JSON.
 trace-smoke:
 	$(GO) run ./cmd/logpsched -op kitem -P 10 -L 3 -k 8 -trace trace-smoke.json > /dev/null
-	$(GO) run ./cmd/tracecheck trace-smoke.json
+	$(GO) run ./cmd/artifactcheck trace-smoke.json
 	@rm -f trace-smoke.json
 
 # Smoke-test the run-report artifact chain: compile a schedule with -report
@@ -77,7 +77,7 @@ trace-smoke:
 report-smoke:
 	$(GO) run ./cmd/logpsched -op broadcast -P 512 -report report-smoke.json > /dev/null
 	$(GO) run ./cmd/logpsched -op summation -P 8 -L 5 -o 2 -g 4 -t 28 -report report-smoke-sum.json > /dev/null
-	$(GO) run ./cmd/reportcheck report-smoke.json report-smoke-sum.json
+	$(GO) run ./cmd/artifactcheck report-smoke.json report-smoke-sum.json
 	@rm -f report-smoke.json report-smoke-sum.json
 
 # Smoke-test the run store and differ end to end: archive the same

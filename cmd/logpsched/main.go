@@ -6,7 +6,11 @@
 // Usage:
 //
 //	logpsched -op broadcast -P 64 -L 6 -o 2 -g 4 > bcast.json
+//	logpsched -op broadcast -P 8 -L 6 -o 2 -g 4 -render tree     # Figure 1
 //	logpsched -op kitem -P 10 -L 3 -k 8 -render table
+//	logpsched -op continuous -P 42 -L 3 -render dot              # Figure 3
+//	logpsched -op continuous -P 14 -L 2 -k 8 -render table       # Theorem 3.5
+//	logpsched -op summation -P 8 -L 5 -o 2 -g 4 -t 28 -render gantt  # Figure 6
 //	logpsched -op scan -P 9 -L 3 -render svg > scan.svg
 //	logpsched -op kitem -P 10 -L 3 -k 8 -trace out.json -metrics
 //	logpsched -op broadcast -P 64 -runstore runs/   # archive for reportdiff
@@ -19,8 +23,8 @@
 // schedule is fetched from the service (which runs the identical compile
 // layer behind a cache) instead of solved locally, and with -render json the
 // service's bytes are emitted verbatim — byte-identical to a local solve.
-// -explain, -trace, -report, and -runstore need a local solve and are
-// rejected alongside -remote.
+// -explain, -trace, -report, -runstore, and -render tree or dot need a local
+// solve and are rejected alongside -remote.
 //
 // -explain replaces the schedule output with a causal critical-path report:
 // the chain of events that determines the finish time, each with its
@@ -29,6 +33,11 @@
 // lower bound attributed to the constraint classes that ate it. Combined
 // with -render svg, the SVG timeline goes to stdout with the critical path
 // outlined in red and the report moves to stderr.
+//
+// -render tree prints the tree the schedule follows (the optimal or
+// baseline broadcast tree, summation's communication tree, continuous's
+// T_{P-1}) and -render dot prints it as GraphViz, or for continuous Figure
+// 3's block transmission digraph. Ops without a tree reject both.
 //
 // -constructor picks how the optimal broadcast tree behind broadcast,
 // reduce, scan, and summation is built: "search" is the heap search,
@@ -58,7 +67,6 @@ import (
 
 	logpopt "logpopt"
 	"logpopt/internal/cliutil"
-	"logpopt/internal/conform"
 	"logpopt/internal/logp"
 	"logpopt/internal/logtime"
 	"logpopt/internal/obs"
@@ -93,7 +101,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		k         = fs.Int("k", 1, "items for kitem/alltoall/continuous")
 		deadline  = fs.Int64("t", 0, "deadline for -op summation (cycles)")
 		ctor      = fs.String("constructor", "auto", "broadcast-tree constructor: auto, search, or logtime (auto: logtime at P >= 512)")
-		render    = fs.String("render", "json", "output: json, gantt, table, svg")
+		render    = fs.String("render", "json", "output: json, gantt, table, svg, tree, dot")
 		explain   = fs.Bool("explain", false, "print a causal critical-path report instead of the schedule (with -render svg: highlighted SVG on stdout, report on stderr)")
 		traceOut  = fs.String("trace", "", cliutil.TraceUsage)
 		sample    = fs.Int64("tracesample", 1, "with -trace: keep replay spans for a seeded 1-in-N sample of processors; rank 0, the critical path, and the engine track are always kept, and counter graphs are thinned by the same factor. 1 keeps everything")
@@ -106,7 +114,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	m, err := cliutil.Machine(*p, *l, *o, *g, *postal || *op == "kitem" || *op == "continuous")
+	m, err := cliutil.Machine(*p, *l, *o, *g, *postal || sched.PostalOp(*op))
 	if err != nil {
 		return err
 	}
@@ -116,19 +124,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if !sched.KnownOp(*op) {
 		return fmt.Errorf("unknown op %q (want one of %v)", *op, sched.Ops)
 	}
-	switch *op {
-	case "kitem", "alltoall", "continuous":
-		if *k < 1 {
-			return fmt.Errorf("-k must be at least 1, got %d", *k)
-		}
+	if sched.KOp(*op) && *k < 1 {
+		return fmt.Errorf("-k must be at least 1, got %d", *k)
 	}
 	if *op == "summation" && *deadline <= 0 {
 		return errors.New("summation requires -t <deadline> (e.g. -t 28 for Figure 6)")
 	}
 
 	if *remote != "" {
-		if *explain || *traceOut != "" || *reportOut != "" || *storeDir != "" {
-			return errors.New("-remote fetches schedules only; -explain, -trace, -report, and -runstore need a local solve (or use the service's /v1/explain)")
+		if *explain || *traceOut != "" || *reportOut != "" || *storeDir != "" || *render == "tree" || *render == "dot" {
+			return errors.New("-remote fetches schedules only; -explain, -trace, -report, -runstore, and -render tree or dot need a local solve (or use the service's /v1/explain)")
 		}
 		return runRemote(*remote, *op, *ctor, m, *k, logp.Time(*deadline), *render, stdout)
 	}
@@ -166,6 +171,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if (*render == "tree" || *render == "dot") && c.Tree == nil {
+		return fmt.Errorf("-render %s: op %s has no tree", *render, *op)
+	}
 	s, bound := c.S, c.Bound
 
 	// The causal analysis feeds three consumers — the sampler's keep set,
@@ -174,7 +182,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var crep *causal.Report
 	analyze := func() *causal.Report {
 		if crep == nil {
-			crep = causal.Analyze(s, conform.DerivedOrigins(s))
+			crep = causal.Analyze(s, schedule.DerivedOrigins(s))
 		}
 		return crep
 	}
@@ -198,7 +206,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		eng := sim.New(s.M, sim.Strict)
 		eng.Tracer = tracer
-		eng.Replay(s, conform.DerivedOrigins(s))
+		eng.Replay(s, schedule.DerivedOrigins(s))
 		if err := closeTrace(); err != nil {
 			return err
 		}
@@ -209,7 +217,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *reportOut != "" || *storeDir != "" {
-		r := cliutil.BuildReport("logpsched", *op, s, conform.DerivedOrigins(s), bound, analyze())
+		r := cliutil.BuildReport("logpsched", *op, s, schedule.DerivedOrigins(s), bound, analyze())
 		r.Constructor = ctorName
 		if *reportOut != "" {
 			if err := cliutil.WriteReport("logpsched", r, *reportOut); err != nil {
@@ -237,25 +245,35 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	return renderSchedule(s, *render, stdout)
+	return renderSchedule(c, *op, *render, stdout)
 }
 
-// renderSchedule writes s in the requested rendering — shared by the local
-// and -remote paths so both present schedules identically.
-func renderSchedule(s *logpopt.Schedule, render string, stdout io.Writer) error {
+// renderSchedule writes c in the requested rendering — shared by the local
+// and -remote paths so both present schedules identically. A remote c holds
+// only the fetched schedule.
+func renderSchedule(c *sched.Compiled, op, render string, stdout io.Writer) error {
 	switch render {
 	case "json":
-		if err := s.WriteJSON(stdout); err != nil {
+		if err := c.S.WriteJSON(stdout); err != nil {
 			return cliutil.WriteError("schedule JSON", "stdout", err)
 		}
 	case "gantt":
-		fmt.Fprint(stdout, logpopt.Gantt(s))
+		fmt.Fprint(stdout, logpopt.Gantt(c.S))
 	case "table":
-		fmt.Fprint(stdout, logpopt.ReceptionTable(s))
+		fmt.Fprint(stdout, logpopt.ReceptionTable(c.S))
 	case "svg":
-		fmt.Fprint(stdout, logpopt.TimelineSVG(s))
+		fmt.Fprint(stdout, logpopt.TimelineSVG(c.S))
+	case "tree", "dot":
+		switch {
+		case render == "tree":
+			fmt.Fprint(stdout, c.Tree.String())
+		case c.Blocks != nil:
+			fmt.Fprint(stdout, logpopt.DeriveBlockDigraph(c.Blocks).DOT("blocks"))
+		default:
+			fmt.Fprint(stdout, c.Tree.DOT(op))
+		}
 	default:
-		return fmt.Errorf("unknown render %q (want json, gantt, table, or svg)", render)
+		return fmt.Errorf("unknown render %q (want json, gantt, table, svg, tree, or dot)", render)
 	}
 	return nil
 }
@@ -311,5 +329,5 @@ func runRemote(base, op, ctor string, m logp.Machine, k int, deadline logp.Time,
 	if err != nil {
 		return fmt.Errorf("remote schedule did not parse: %w", err)
 	}
-	return renderSchedule(s, render, stdout)
+	return renderSchedule(&sched.Compiled{S: s}, op, render, stdout)
 }

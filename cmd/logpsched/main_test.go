@@ -9,12 +9,12 @@ import (
 	logpopt "logpopt"
 	"logpopt/internal/baseline"
 	"logpopt/internal/combine"
-	"logpopt/internal/conform"
 	"logpopt/internal/core"
 	"logpopt/internal/logp"
 	"logpopt/internal/obs/report"
 	"logpopt/internal/obs/runstore"
 	"logpopt/internal/schedule"
+	"logpopt/internal/serve/sched"
 	"logpopt/internal/sim"
 )
 
@@ -124,6 +124,59 @@ func TestExplainGapZero(t *testing.T) {
 	}
 }
 
+// TestRenderTreeAndDot covers -render tree and dot for every op: ops built
+// on a tree print it, or its GraphViz form (continuous: the block digraph);
+// the other ops, and -remote, refuse both with an error naming the render.
+func TestRenderTreeAndDot(t *testing.T) {
+	for _, op := range sched.Ops {
+		hasTree := sched.TreeOp(op) || op == "continuous"
+		graph := `digraph "` + op + `"`
+		if op == "continuous" {
+			graph = `digraph "blocks"`
+		}
+		for _, render := range []string{"tree", "dot"} {
+			t.Run(op+"/"+render, func(t *testing.T) {
+				args := []string{"-op", op, "-P", "10", "-L", "3", "-k", "2", "-t", "20", "-render", render}
+				out, err := exec(t, args...)
+				switch {
+				case !hasTree:
+					if err == nil || !strings.Contains(err.Error(), "-render "+render) || out != "" {
+						t.Fatalf("no tree: err = %v, stdout %q; want a -render %s rejection", err, out, render)
+					}
+				case err != nil:
+					t.Fatal(err)
+				case render == "tree" && !strings.HasPrefix(out, "0 @0\n"):
+					t.Fatalf("tree does not start at the root:\n%s", out)
+				case render == "dot" && !strings.HasPrefix(out, graph):
+					t.Fatalf("dot does not open %s:\n%s", graph, out)
+				}
+				if _, err := exec(t, append(args, "-remote", "http://127.0.0.1:1")...); err == nil || !strings.Contains(err.Error(), "-remote") {
+					t.Fatalf("-remote: err = %v, want a -remote rejection", err)
+				}
+			})
+		}
+	}
+
+	// Figure 1's tree, which Figure 6's summation reverses on L+1.
+	const fig1 = `0 @0
+  1 @10
+    4 @20
+    6 @24
+  2 @14
+    7 @24
+  3 @18
+  5 @22
+`
+	for _, args := range [][]string{
+		{"-op", "broadcast", "-P", "8", "-L", "6", "-o", "2", "-g", "4", "-render", "tree"},
+		{"-op", "summation", "-P", "8", "-L", "5", "-o", "2", "-g", "4", "-t", "28", "-render", "tree"},
+	} {
+		if out, err := exec(t, args...); err != nil || out != fig1 {
+			t.Fatalf("%v: err %v, tree\n%s\nwant\n%s", args, err, out, fig1)
+		}
+	}
+}
+
 // TestRunstoreArchives: -runstore files the run in the persistent store,
 // and a second identical run appends under the same key with the same
 // certified outcome — the precondition for reportdiff exiting clean.
@@ -183,7 +236,7 @@ func TestReportMatchesSim(t *testing.T) {
 				t.Fatal(berr)
 			}
 		}
-		simRep := sim.New(m, sim.Strict).Replay(s, conform.DerivedOrigins(s))
+		simRep := sim.New(m, sim.Strict).Replay(s, schedule.DerivedOrigins(s))
 		if r.Finish != int64(simRep.Finish) {
 			t.Fatalf("%s: report finish %d, sim finish %d", op, r.Finish, simRep.Finish)
 		}

@@ -31,6 +31,7 @@ func TestRemoteByteIdentical(t *testing.T) {
 		{"-op", "binomial", "-P", "9", "-L", "5", "-o", "1", "-g", "3"},
 		{"-op", "alltoall", "-P", "6", "-L", "6", "-o", "2", "-g", "4", "-k", "2"},
 		{"-op", "kitem", "-P", "10", "-L", "3", "-k", "8"},
+		{"-op", "continuous", "-P", "14", "-L", "2", "-k", "8"}, // Theorem 3.5's L=2 construction
 		{"-op", "summation", "-P", "8", "-L", "6", "-o", "2", "-g", "4", "-t", "28"},
 		{"-op", "broadcast", "-P", "600", "-constructor", "logtime"},
 	}

@@ -11,6 +11,10 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"logpopt/internal/core"
+	"logpopt/internal/logp"
+	"logpopt/internal/serve/sched"
 )
 
 // startDaemon runs run() in a goroutine on an ephemeral port, waits for the
@@ -91,6 +95,20 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(body, `"cache":"hit"`) {
 		t.Fatalf("warmup-seeded request was not a cache hit: %s", clipBody(body))
+	}
+
+	// Continuous broadcast at L=2 with P-1 = P(6) takes Theorem 3.5's
+	// fallback in the compile layer; the served schedule is the local one.
+	code, body = fetch(t, base+"/v1/schedule?op=continuous&p=14&l=2&k=8&format=schedule")
+	if code != http.StatusOK {
+		t.Fatalf("continuous L=2 = %d %s", code, body)
+	}
+	local, err := sched.Compile(logp.Postal(14, 2), "continuous", 8, 0, core.OptimalTree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := string(local.S.AppendJSON(nil)); body != want {
+		t.Fatalf("served continuous L=2 schedule differs from the local solve (%d vs %d bytes)", len(body), len(want))
 	}
 
 	// The metrics surface carries the servd series and the process preamble.

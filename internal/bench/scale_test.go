@@ -43,24 +43,6 @@ func scaleReduce(p int) *schedule.Schedule {
 	return s
 }
 
-// reduceOrigins mirrors conform.DerivedOrigins: every item enters at its
-// earliest sender at time zero (conform is not imported to keep the bench
-// package's dependencies one-directional).
-func reduceOrigins(s *schedule.Schedule) map[int]schedule.Origin {
-	og := make(map[int]schedule.Origin)
-	first := make(map[int]logp.Time)
-	for _, ev := range s.Events {
-		if ev.Op != schedule.OpSend {
-			continue
-		}
-		if t, ok := first[ev.Item]; !ok || ev.Time < t {
-			first[ev.Item] = ev.Time
-			og[ev.Item] = schedule.Origin{Proc: ev.Proc}
-		}
-	}
-	return og
-}
-
 // peakRSSBytes reports the process's high-water resident set size.
 func peakRSSBytes() float64 {
 	var ru syscall.Rusage
@@ -114,7 +96,7 @@ func BenchmarkScaleSimReduce(b *testing.B) {
 	for _, p := range scalePs {
 		b.Run(fmt.Sprintf("P%d", p), func(b *testing.B) {
 			s := scaleReduce(p)
-			og := reduceOrigins(s)
+			og := schedule.DerivedOrigins(s)
 			e := sim.New(s.M, sim.Buffered)
 			e.Replay(s, og) // warm: grow every slab once, off the clock
 			b.ReportAllocs()

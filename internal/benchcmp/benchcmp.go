@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -30,7 +31,8 @@ func (r Result) Key() string {
 	return fmt.Sprintf("%s.%s-%d", r.Package, r.Name, r.GoMaxProcs)
 }
 
-// Load reads a benchjson file.
+// Load reads a benchjson file. It refuses a Key recorded twice, which would
+// shadow the first entry in Compare.
 func Load(path string) ([]Result, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -39,6 +41,13 @@ func Load(path string) ([]Result, error) {
 	var rs []Result
 	if err := json.Unmarshal(data, &rs); err != nil {
 		return nil, fmt.Errorf("benchcmp: %s: %w", path, err)
+	}
+	seen := make(map[string]bool, len(rs))
+	for _, r := range rs {
+		if seen[r.Key()] {
+			return nil, fmt.Errorf("benchcmp: %s: benchmark %s recorded twice", path, r.Key())
+		}
+		seen[r.Key()] = true
 	}
 	return rs, nil
 }
@@ -64,10 +73,22 @@ type Thresholds struct {
 // allocation counts exact, since those are deterministic.
 var DefaultThresholds = Thresholds{NsPerOp: 0.10, BytesOp: 0.10, AllocsOp: 0}
 
-// HigherIsBetter reports whether a metric unit improves upward, i.e. whether
-// a fractional drop rather than a fractional rise is the regression.
-func HigherIsBetter(unit string) bool {
-	return strings.HasSuffix(unit, "/sec") || strings.HasSuffix(unit, "/s")
+// Direction says which way a metric's change counts against it.
+type Direction int
+
+const (
+	Rise   Direction = iota // a rise is worse: ns/op, bytes, counts
+	Drop                    // a drop is worse: rates
+	Either                  // any change is drift: run-report fields
+)
+
+// Worse returns the direction in which a metric unit regresses: a drop for
+// rates ending in "/sec" or "/s", a rise for everything else.
+func Worse(unit string) Direction {
+	if strings.HasSuffix(unit, "/sec") || strings.HasSuffix(unit, "/s") {
+		return Drop
+	}
+	return Rise
 }
 
 // Delta is one metric of one benchmark present in both files.
@@ -87,14 +108,29 @@ type Report struct {
 	Regressions int
 }
 
-func frac(old, new float64) float64 {
-	if old == 0 {
-		if new == 0 {
-			return 0
-		}
-		return new // +100%/unit scale is meaningless; any growth from 0 counts
+// Change is the fractional change (new-old)/old. A change from zero has no
+// meaningful fraction: it is ±Inf, so every active gate in its direction
+// flags it.
+func Change(old, new float64) float64 {
+	switch {
+	case old != 0:
+		return (new - old) / old
+	case new == 0:
+		return 0
 	}
-	return (new - old) / old
+	return math.Copysign(math.Inf(1), new)
+}
+
+// Exceeds reports whether frac, a Change, moves beyond th in direction d. A
+// negative th disables the gate.
+func Exceeds(frac, th float64, d Direction) bool {
+	switch d {
+	case Drop:
+		frac = -frac
+	case Either:
+		frac = math.Abs(frac)
+	}
+	return th >= 0 && frac > th
 }
 
 // Compare diffs new against old under th. Benchmarks are matched by
@@ -140,8 +176,8 @@ func Compare(old, new []Result, th Thresholds) *Report {
 			if m.old == 0 && m.new == 0 {
 				continue // metric not recorded (e.g. no -benchmem)
 			}
-			d := Delta{Key: k, Metric: m.name, Old: m.old, New: m.new, Frac: frac(m.old, m.new)}
-			d.Regression = m.th >= 0 && d.Frac > m.th
+			d := Delta{Key: k, Metric: m.name, Old: m.old, New: m.new, Frac: Change(m.old, m.new)}
+			d.Regression = Exceeds(d.Frac, m.th, Rise)
 			if d.Regression {
 				rep.Regressions++
 			}
@@ -161,13 +197,9 @@ func Compare(old, new []Result, th Thresholds) *Report {
 			if ov == 0 && nv == 0 {
 				continue
 			}
-			d := Delta{Key: k, Metric: u, Old: ov, New: nv, Frac: frac(ov, nv)}
-			if eth, gated := th.Extra[u]; gated && eth >= 0 {
-				if HigherIsBetter(u) {
-					d.Regression = -d.Frac > eth // regression is a drop
-				} else {
-					d.Regression = d.Frac > eth
-				}
+			d := Delta{Key: k, Metric: u, Old: ov, New: nv, Frac: Change(ov, nv)}
+			if eth, gated := th.Extra[u]; gated {
+				d.Regression = Exceeds(d.Frac, eth, Worse(u))
 			}
 			if d.Regression {
 				rep.Regressions++

@@ -1,6 +1,9 @@
 package benchcmp
 
 import (
+	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -143,5 +146,73 @@ func TestLoadErrors(t *testing.T) {
 	}
 	if _, err := Load("testdata/../benchcmp.go"); err == nil {
 		t.Error("Load of non-JSON must fail")
+	}
+}
+
+// TestChangeFromZero pins the growth-from-zero rule shared with obs/diff: a
+// lower-is-better metric leaving zero is +Inf and regresses under any
+// active threshold, however small the new value; a rate leaving zero is an
+// improvement; a disabled gate never fires.
+func TestChangeFromZero(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		unit     string
+		old, new float64
+		th       float64
+		wantReg  bool
+	}{
+		{"ns/op from zero under 10%", "ns/op", 0, 0.05, 0.10, true},
+		{"count from zero under 10%", "nodes/op", 0, 0.05, 0.10, true},
+		{"count from zero, gate disabled", "nodes/op", 0, 5, -1, false},
+		{"rate from zero", "events/sec", 0, 5, 0.10, false},
+		{"rate to zero", "events/sec", 5, 0, 0.10, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := Result{Name: "BenchmarkX", GoMaxProcs: 1, Package: "p"}
+			b := a
+			th := Thresholds{NsPerOp: -1, BytesOp: -1, AllocsOp: -1, Extra: map[string]float64{tc.unit: tc.th}}
+			if tc.unit == "ns/op" {
+				a.NsPerOp, b.NsPerOp, th.NsPerOp = tc.old, tc.new, tc.th
+			} else {
+				a.Extra = map[string]float64{tc.unit: tc.old}
+				b.Extra = map[string]float64{tc.unit: tc.new}
+			}
+			rep := Compare([]Result{a}, []Result{b}, th)
+			if len(rep.Deltas) != 1 {
+				t.Fatalf("deltas = %+v, want one", rep.Deltas)
+			}
+			d := rep.Deltas[0]
+			if d.Regression != tc.wantReg || (rep.Regressions == 1) != tc.wantReg {
+				t.Fatalf("regression = %v (count %d), want %v", d.Regression, rep.Regressions, tc.wantReg)
+			}
+			if tc.old == 0 && !math.IsInf(d.Frac, 1) {
+				t.Fatalf("Frac = %v, want +Inf for growth from zero", d.Frac)
+			}
+			var w strings.Builder
+			rep.Write(&w, true)
+			if tc.old == 0 && !strings.Contains(w.String(), "+Inf%") {
+				t.Fatalf("table does not show the unbounded change:\n%s", w.String())
+			}
+		})
+	}
+}
+
+// TestLoadRefusesDuplicateKey: a file recording one benchmark twice would
+// let the second entry shadow the first in Compare, so Load refuses it; the
+// committed baselines have no duplicates and load.
+func TestLoadRefusesDuplicateKey(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "dup.json")
+	dup := `[{"name":"BenchmarkX","gomaxprocs":1,"package":"p","iterations":1,"ns_per_op":5,"wall_s":0},
+{"name":"BenchmarkX","gomaxprocs":1,"package":"p","iterations":1,"ns_per_op":6,"wall_s":0}]`
+	if err := os.WriteFile(path, []byte(dup), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "p.BenchmarkX-1 recorded twice") {
+		t.Fatalf("duplicate key: err = %v", err)
+	}
+	for _, f := range []string{"../../BENCH_1.json", "../../BENCH_3.json"} {
+		if rs, err := Load(f); err != nil || len(rs) == 0 {
+			t.Errorf("%s: %d results, err %v", f, len(rs), err)
+		}
 	}
 }

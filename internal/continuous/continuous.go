@@ -70,12 +70,7 @@ func NewInstance(l, t int) (*Instance, error) {
 	if t < l {
 		return nil, fmt.Errorf("continuous: t=%d < L=%d (single non-source processor; trivial)", t, l)
 	}
-	p := int(core.SeqFor(l).F(t))
-	tree := core.OptimalTree(logp.Postal(p, logp.Time(l)), p)
-	if got := int(tree.MaxLabel()); got != t {
-		return nil, fmt.Errorf("continuous: tree max label %d != t=%d", got, t)
-	}
-	return newFromTree(l, t, tree)
+	return NewInstanceGeneral(l, int(core.SeqFor(l).F(t)))
 }
 
 // newFromTree derives blocks and leaf counts from any broadcast tree whose
@@ -365,14 +360,7 @@ func SolveAndSchedule(l, t, k int) (*Instance, *schedule.Schedule, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := inst.Solve(0); err != nil {
-		return nil, nil, err
-	}
-	a, err := inst.Assign()
-	if err != nil {
-		return nil, nil, err
-	}
-	return inst, a.KItemSchedule(k), nil
+	return inst.solveAndSchedule(k)
 }
 
 // NewInstanceGeneral builds a continuous-broadcast instance for ANY number
@@ -407,6 +395,12 @@ func SolveGeneralAndSchedule(l, p, k int) (*Instance, *schedule.Schedule, error)
 	if err != nil {
 		return nil, nil, err
 	}
+	return inst.solveAndSchedule(k)
+}
+
+// solveAndSchedule solves inst, assigns processors and emits a k-item
+// schedule.
+func (inst *Instance) solveAndSchedule(k int) (*Instance, *schedule.Schedule, error) {
 	if err := inst.Solve(0); err != nil {
 		return nil, nil, err
 	}

@@ -259,13 +259,7 @@ func pickReceiver(x, p int, holds, pending [][]bool, needCount []int, ok func(in
 // Origins returns the origin map for a k-item broadcast: item x enters at
 // the source (processor 0) at time x (the continuous generation convention;
 // it is also valid for schedules that send item x no earlier than x).
-func Origins(k int) map[int]schedule.Origin {
-	og := make(map[int]schedule.Origin, k)
-	for x := 0; x < k; x++ {
-		og[x] = schedule.Origin{Proc: 0, Time: logp.Time(x)}
-	}
-	return og
-}
+var Origins = continuous.Origins
 
 // OptimalGeneral builds the exact single-sending-optimal k-item schedule
 // for an arbitrary processor count p (including the source) by solving the

@@ -27,15 +27,16 @@ import (
 	"io"
 	"math"
 
+	"logpopt/internal/benchcmp"
 	"logpopt/internal/obs/report"
 	"logpopt/internal/obs/timeseries"
 )
 
 // Thresholds are the allowed fractional changes per gated field class: 0.05
 // passes anything within ±5% of the old value. A change from zero to
-// non-zero has no meaningful fraction and always gates (matching
-// benchcmp's growth-from-zero rule). A negative threshold disables the
-// gate for that class; the delta is still reported.
+// non-zero has no meaningful fraction and always gates (benchcmp's rule,
+// through the shared benchcmp.Change and benchcmp.Exceeds). A negative
+// threshold disables the gate for that class; the delta is still reported.
 type Thresholds struct {
 	Finish     float64 // finish time
 	Gap        float64 // finish minus closed-form bound
@@ -89,23 +90,16 @@ func (v *Verdict) add(field, old, new string, gated bool) {
 }
 
 // addNum records a numeric delta when old != new, gating on |frac| beyond
-// th (th < 0 never gates; old == 0 with new != 0 always gates when th is
-// active).
+// th under benchcmp's rule (th < 0 never gates; old == 0 with new != 0
+// always gates when th is active).
 func (v *Verdict) addNum(field string, old, new float64, th float64) {
 	if old == new {
 		return
 	}
-	d := Delta{Field: field, Old: trim(old), New: trim(new)}
-	if old != 0 {
-		f := (new - old) / old
+	f := benchcmp.Change(old, new)
+	d := Delta{Field: field, Old: trim(old), New: trim(new), Gated: benchcmp.Exceeds(f, th, benchcmp.Either)}
+	if !math.IsInf(f, 0) {
 		d.Frac = &f
-	}
-	if th >= 0 {
-		if d.Frac == nil {
-			d.Gated = true // change from zero: no meaningful fraction
-		} else {
-			d.Gated = math.Abs(*d.Frac) > th
-		}
 	}
 	if d.Gated {
 		v.Gated++

@@ -256,3 +256,46 @@ func TestVerdictJSONRoundTrips(t *testing.T) {
 		t.Fatalf("verdict mangled in JSON: %+v vs %+v", got, v)
 	}
 }
+
+// TestChangeFromZero pins the growth-from-zero rule shared with benchcmp: a
+// field leaving zero has no fraction (Frac absent) and gates under any
+// active threshold, however small the change; a disabled threshold reports
+// it without gating.
+func TestChangeFromZero(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		old, new  float64
+		th        float64
+		wantGated bool
+		wantFrac  float64 // checked when the old value is non-zero
+	}{
+		{"rise from zero under 10%", 0, 0.05, 0.10, true, 0},
+		{"fall below zero", 0, -1, 0.05, true, 0},
+		{"from zero, gate disabled", 0, 3, -1, false, 0},
+		{"within threshold", 10, 10.5, 0.10, false, 0.05},
+		{"drop to zero", 10, 0, 0.5, true, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v := &Verdict{}
+			v.addNum("f", tc.old, tc.new, tc.th)
+			if len(v.Deltas) != 1 {
+				t.Fatalf("deltas = %+v, want one", v.Deltas)
+			}
+			d := v.Deltas[0]
+			if d.Gated != tc.wantGated || (v.Gated == 1) != tc.wantGated {
+				t.Fatalf("gated = %v (count %d), want %v", d.Gated, v.Gated, tc.wantGated)
+			}
+			switch {
+			case tc.old == 0 && d.Frac != nil:
+				t.Fatalf("change from zero has Frac %v, want none", *d.Frac)
+			case tc.old != 0 && (d.Frac == nil || *d.Frac != tc.wantFrac):
+				t.Fatalf("Frac = %v, want %v", d.Frac, tc.wantFrac)
+			}
+		})
+	}
+	v := &Verdict{}
+	v.addNum("f", 0, 0, 0)
+	if !v.Empty() {
+		t.Fatalf("0 -> 0 recorded a delta: %+v", v.Deltas)
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"logpopt/internal/obs"
 	"logpopt/internal/obs/causal"
 	"logpopt/internal/par"
+	"logpopt/internal/schedule"
 )
 
 // maxBatch bounds one /v1/batch body (explicit requests plus the expanded
@@ -460,7 +461,7 @@ func (a *API) handleExplain(w http.ResponseWriter, r *http.Request, ri *reqInfo)
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	rep := causal.Analyze(comp.S, DerivedOrigins(comp.S))
+	rep := causal.Analyze(comp.S, schedule.DerivedOrigins(comp.S))
 	if err := ApplyBound(rep, comp, key.Machine(), tb); err != nil {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return

@@ -73,10 +73,15 @@ func TreeOp(op string) bool {
 // came from the optimal broadcast tree rather than the op's own closed form
 // (true for the broadcast baselines, whose -explain gap is attributed
 // against the optimal tree's breakdown).
+// Tree is the tree the schedule follows (summation: its communication tree;
+// continuous: T_{P-1}), nil for ops without one. Blocks is continuous's
+// block-cyclic assignment, behind Figure 3's digraph; nil for other ops.
 type Compiled struct {
 	S        *schedule.Schedule
 	Bound    logp.Time
 	Baseline bool
+	Tree     *core.Tree
+	Blocks   *continuous.Assignment
 }
 
 // Compile builds op's schedule on m. k is the item count for kitem,
@@ -92,25 +97,24 @@ func Compile(m logp.Machine, op string, k int, deadline logp.Time, tb core.TreeB
 	var err error
 	switch op {
 	case "broadcast":
-		tr := tb(m, m.P)
-		c.S, err = core.TreeSchedule(tr, 0, nil, 0)
+		c.Tree = tb(m, m.P)
+		c.S, err = core.TreeSchedule(c.Tree, 0, nil, 0)
 		if err != nil {
 			return nil, err
 		}
-		c.Bound = tr.MaxLabel()
+		c.Bound = c.Tree.MaxLabel()
 	case "linear", "flat", "binary", "binomial":
-		var tr *core.Tree
 		switch op {
 		case "linear":
-			tr = baseline.LinearTree(m, m.P)
+			c.Tree = baseline.LinearTree(m, m.P)
 		case "flat":
-			tr = baseline.FlatTree(m, m.P)
+			c.Tree = baseline.FlatTree(m, m.P)
 		case "binary":
-			tr = baseline.BinaryTree(m, m.P)
+			c.Tree = baseline.BinaryTree(m, m.P)
 		case "binomial":
-			tr = baseline.BinomialTree(m, m.P)
+			c.Tree = baseline.BinomialTree(m, m.P)
 		}
-		c.S, err = baseline.Schedule(tr, 0)
+		c.S, err = baseline.Schedule(c.Tree, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -129,13 +133,13 @@ func Compile(m logp.Machine, op string, k int, deadline logp.Time, tb core.TreeB
 		c.S = alltoall.Gather(m)
 		c.Bound = alltoall.ScatterLowerBound(m)
 	case "reduce":
-		tr := tb(m, m.P)
-		c.S = combine.ReduceScheduleWith(m, m.P, func(logp.Machine, int) *core.Tree { return tr })
-		c.Bound = tr.MaxLabel()
+		c.Tree = tb(m, m.P)
+		c.S = combine.ReduceScheduleWith(m, m.P, func(logp.Machine, int) *core.Tree { return c.Tree })
+		c.Bound = c.Tree.MaxLabel()
 	case "scan":
-		tr := tb(m, m.P)
-		c.S = combine.ScanScheduleWith(m, m.P, func(logp.Machine, int) *core.Tree { return tr })
-		c.Bound = tr.MaxLabel() // one sweep is unavoidable
+		c.Tree = tb(m, m.P)
+		c.S = combine.ScanScheduleWith(m, m.P, func(logp.Machine, int) *core.Tree { return c.Tree })
+		c.Bound = c.Tree.MaxLabel() // one sweep is unavoidable
 	case "kitem":
 		_, c.S, err = kitem.OptimalGeneral(m.L, m.P, k)
 		if err != nil {
@@ -144,10 +148,21 @@ func Compile(m logp.Machine, op string, k int, deadline logp.Time, tb core.TreeB
 		c.Bound = logp.Time(kitem.BoundsFor(int(m.L), m.P, int64(k)).SingleSending)
 	case "continuous":
 		var inst *continuous.Instance
-		inst, c.S, err = continuous.SolveGeneralAndSchedule(int(m.L), m.P-1, k)
+		if inst, err = continuous.NewInstanceGeneral(int(m.L), m.P-1); err == nil {
+			err = inst.Solve(0)
+		}
+		// Theorem 3.4: at L = 2 and P-1 = P(t) no assignment meets L+B(P-1);
+		// Theorem 3.5's pruned tree meets L+B(P-1)+1.
+		if err != nil && inst != nil && m.L == 2 && core.SeqFor(2).F(inst.T) == int64(m.P-1) {
+			inst, err = continuous.SolveL2(inst.T)
+		}
+		if err == nil {
+			c.Blocks, err = inst.Assign()
+		}
 		if err != nil {
 			return nil, err
 		}
+		c.S, c.Tree = c.Blocks.KItemSchedule(k), inst.Tree
 		c.Bound = logp.Time(inst.Delay() + k - 1)
 	case "summation":
 		if deadline <= 0 {
@@ -159,29 +174,12 @@ func Compile(m logp.Machine, op string, k int, deadline logp.Time, tb core.TreeB
 			return nil, err
 		}
 		c.S = pl.Schedule()
+		c.Tree = pl.Tree
 		c.Bound = deadline
 	default:
 		return nil, fmt.Errorf("unknown op %q (want one of %v)", op, Ops)
 	}
 	return c, nil
-}
-
-// DerivedOrigins injects every item at its earliest sender at time zero,
-// mirroring conform.DerivedOrigins (the conformance harness is deliberately
-// not imported so the serving stack's dependencies stay one-directional).
-func DerivedOrigins(s *schedule.Schedule) map[int]schedule.Origin {
-	og := make(map[int]schedule.Origin)
-	first := make(map[int]logp.Time)
-	for _, ev := range s.Events {
-		if ev.Op != schedule.OpSend {
-			continue
-		}
-		if t, ok := first[ev.Item]; !ok || ev.Time < t {
-			first[ev.Item] = ev.Time
-			og[ev.Item] = schedule.Origin{Proc: ev.Proc}
-		}
-	}
-	return og
 }
 
 // OptimalBroadcastRef is the gap-attribution reference the broadcast
