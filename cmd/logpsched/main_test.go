@@ -50,6 +50,7 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"zero k", []string{"-op", "alltoall", "-k", "0"}, "-k"},
 		{"kitem zero k", []string{"-op", "kitem", "-P", "4", "-L", "3", "-k", "0"}, "-k"},
 		{"summation without t", []string{"-op", "summation", "-L", "6", "-o", "2", "-g", "4"}, "-t"},
+		{"continuous unsolvable names its L", []string{"-op", "continuous", "-P", "13", "-L", "2"}, "for L=2 t=6"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

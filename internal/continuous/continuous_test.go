@@ -2,6 +2,7 @@ package continuous
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"logpopt/internal/core"
@@ -285,5 +286,23 @@ func TestTheorem35L2PlusOne(t *testing.T) {
 func TestSolveL2Rejects(t *testing.T) {
 	if _, err := SolveL2(1); err == nil {
 		t.Fatal("t=1 accepted")
+	}
+}
+
+// TestSolveErrorNamesL: a failed solve names the instance's latency L and
+// reports the letter alphabet apart from it — off the P(t) grid the pruned
+// tree's leaf delays span more letters than L. P-1=12 at L=2 (t=6) has no
+// block-cyclic solution over its 3 letters.
+func TestSolveErrorNamesL(t *testing.T) {
+	inst, err := NewInstanceGeneral(2, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = inst.Solve(0)
+	if !errors.Is(err, ErrNoSolution) {
+		t.Fatalf("P-1=12 at L=2: err = %v, want ErrNoSolution", err)
+	}
+	if want := "for L=2 t=6 (alphabet 3)"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not contain %q", err, want)
 	}
 }

@@ -341,7 +341,7 @@ func solveBase(inst *Instance, opts solveOpts) ([]idxWord, int, error) {
 	rootSize := inst.Blocks[rootBi].Size
 	if opts.strong {
 		if l < 2 || counts[1] < 1 {
-			return nil, 0, fmt.Errorf("continuous: no 'b' leaf for a strong solution (L=%d t=%d)", l, t)
+			return nil, 0, fmt.Errorf("continuous: no 'b' leaf for a strong solution (L=%d t=%d, alphabet %d)", inst.L, t, l)
 		}
 		counts[1]--
 		recvOnly = 1
@@ -432,9 +432,9 @@ func solveBase(inst *Instance, opts solveOpts) ([]idxWord, int, error) {
 			return nil, 0, errCanceled
 		}
 		if s.budget <= 0 {
-			return nil, 0, fmt.Errorf("continuous: %w (maxNodes=%d) for L=%d t=%d", ErrBudget, budget, l, t)
+			return nil, 0, fmt.Errorf("continuous: %w (maxNodes=%d) for L=%d t=%d (alphabet %d)", ErrBudget, budget, inst.L, t, l)
 		}
-		return nil, 0, fmt.Errorf("continuous: %w for L=%d t=%d", ErrNoSolution, l, t)
+		return nil, 0, fmt.Errorf("continuous: %w for L=%d t=%d (alphabet %d)", ErrNoSolution, inst.L, t, l)
 	}
 	return s.words, s.recvOnly, nil
 }

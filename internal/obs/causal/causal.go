@@ -34,8 +34,10 @@
 package causal
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -264,257 +266,433 @@ func (r *Report) String() string {
 	return b.String()
 }
 
+// kindNone marks an empty constraint slot.
+const kindNone EdgeKind = -1
+
 // constraint is one incoming edge of a node: its start must be >= bound.
 type constraint struct {
-	from  int // predecessor node index; -1 for origin/start
-	kind  EdgeKind
 	bound logp.Time
+	from  int32 // predecessor node id; -1 for an origin
+	kind  EdgeKind
 }
 
-// node is one event of the analyzed schedule.
+// Constraint slots. A node has at most one edge of each class, so its
+// constraints live inline: the busy or compute edge from the processor's
+// previous event, the gap edge from the port's previous event, and the
+// incoming edge — latency for a reception, avail or origin for a send.
+const (
+	slotBusy = iota
+	slotGap
+	slotIn
+)
+
+var noCons = [3]constraint{{from: -1, kind: kindNone}, {from: -1, kind: kindNone}, {from: -1, kind: kindNone}}
+
+// node is one event of the analyzed schedule. Node ids are positions in
+// analysis order — (time, proc, op, item, peer, input index) — and fit in
+// an int32.
 type node struct {
 	ev    schedule.Event
-	input int // index into s.Events
-	start logp.Time
 	dur   logp.Time // o for send/recv, Dur for compute
-	cons  []constraint
+	cons  [3]constraint
+	input int32 // index into s.Events
 }
 
-func (n *node) end() logp.Time { return n.start + n.dur }
+func (n *node) end() logp.Time { return n.ev.Time + n.dur }
+
+// portKey places a send or a reception in one of the two sorted lists that
+// join messages: by (proc, item, recv, peer) for receptions and for the
+// availability of an item at its sender, and by (peer, item, proc) for sends
+// grouped by destination. Either way x, item, y read (receiver, item,
+// sender) for a message, so the two lists merge one message identity at a
+// time.
+type portKey struct {
+	x, item, y int
+	id         int32
+	recv       bool
+}
+
+func cmpPort(p, q portKey) int {
+	if c := cmp.Compare(p.x, q.x); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(p.item, q.item); c != 0 {
+		return c
+	}
+	if p.recv != q.recv {
+		if q.recv {
+			return -1
+		}
+		return 1
+	}
+	if c := cmp.Compare(p.y, q.y); c != 0 {
+		return c
+	}
+	return cmp.Compare(p.id, q.id)
+}
+
+// cmpMessage orders message identities (receiver, item, sender).
+func cmpMessage(p, q portKey) int {
+	if c := cmp.Compare(p.x, q.x); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(p.item, q.item); c != 0 {
+		return c
+	}
+	return cmp.Compare(p.y, q.y)
+}
+
+// originAt is an item's injection, placed by (proc, item) like a run of
+// a.ports.
+type originAt struct {
+	proc, item int
+	time       logp.Time
+}
+
+func cmpOrigin(p, q originAt) int {
+	if c := cmp.Compare(p.proc, q.proc); c != 0 {
+		return c
+	}
+	return cmp.Compare(p.item, q.item)
+}
+
+// eventAt is an event with its input index: an element of the sort into
+// analysis order.
+type eventAt struct {
+	ev schedule.Event
+	id int32
+}
+
+// cmpAnalysis orders events by (time, proc, op, item, peer, input index).
+func cmpAnalysis(p, q eventAt) int {
+	if c := cmp.Compare(p.ev.Time, q.ev.Time); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(p.ev.Proc, q.ev.Proc); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(p.ev.Op, q.ev.Op); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(p.ev.Item, q.ev.Item); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(p.ev.Peer, q.ev.Peer); c != 0 {
+		return c
+	}
+	return cmp.Compare(p.id, q.id)
+}
+
+// startAt is a node's start, op and input index: an element of the sort
+// into the backward pass's order.
+type startAt struct {
+	time  logp.Time
+	op    schedule.Op
+	input int32
+	id    int32
+}
+
+// cmpBackward orders by descending start, then op (sends first), then input
+// index.
+func cmpBackward(p, q startAt) int {
+	if c := cmp.Compare(q.time, p.time); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(p.op, q.op); c != 0 {
+		return c
+	}
+	return cmp.Compare(p.input, q.input)
+}
 
 // analyzer holds the DAG under construction.
 type analyzer struct {
 	m     logp.Machine
-	nodes []node
-	order []int // node ids in deterministic (time, proc, op, item, peer) order
+	nodes []node    // one slab, in analysis order
+	ports []portKey // every send and reception by (proc, item, recv, peer, id)
+	sends []portKey // every send by (peer, item, proc, id)
+
+	cursor int // a.sends before it belong to identities already matched
+
+	// The latest item availability over all (processor, item) pairs, the
+	// reception that realizes it (-1: an origin), and whether any pair
+	// exists.
+	pairNode int32
+	pairTime logp.Time
+	havePair bool
 }
 
 // Analyze builds the causal DAG of s (with the given item origins) and
 // extracts the critical path, the achieved breakdown, and per-event slack.
 // The input is treated as an executed trace: receive events are taken at
 // face value (buffered receptions later than arrival are legal and show up
-// as wait). Analysis is deterministic in the event multiset — the event
-// order of s is irrelevant — so two backends that executed the same events
-// produce identical reports. Report.Bound is -1 until SetBound is called.
+// as wait). Analysis is deterministic in the event multiset up to exact
+// duplicates: events are ordered by (time, proc, op, item, peer) and then
+// by input index, so the input order only decides which of two identical
+// events takes which role. Two backends that executed the same events
+// produce the same finish, critical path and breakdown. Report.Bound is -1
+// until SetBound is called. Events whose Op is none of send, recv and
+// compute occupy their processor for o cycles and have no other edge.
 func Analyze(s *schedule.Schedule, origins map[int]schedule.Origin) *Report {
 	a := &analyzer{m: s.M}
-	a.build(s, origins)
+	a.build(s)
+	a.link(origins)
 	rep := &Report{Bound: -1}
-	finNode, finTime := a.finish(origins)
+	finNode, finTime := a.finish()
 	rep.Finish = finTime
 	rep.Path, rep.Achieved = a.walk(finNode, finTime)
 	rep.OpSlack = a.slacks(finTime)
-
-	// Map per-node slack back to input event order.
-	slackIn := make([]logp.Time, len(s.Events))
-	for i := range a.nodes {
-		slackIn[a.nodes[i].input] = rep.OpSlack[i]
-	}
-	rep.OpSlack = slackIn
-	for i := range rep.Path {
-		rep.Path[i].Index = a.nodes[rep.Path[i].Index].input
-	}
 	return rep
 }
 
-// build creates the nodes in deterministic order and attaches every
-// constraint edge.
-func (a *analyzer) build(s *schedule.Schedule, origins map[int]schedule.Origin) {
-	m := a.m
-	a.nodes = make([]node, 0, len(s.Events))
-	for i, ev := range s.Events {
+// build lays the nodes out in analysis order, attaches the busy, compute and
+// gap edges, and fills the two port lists.
+func (a *analyzer) build(s *schedule.Schedule) {
+	m, evs := a.m, s.Events
+	order := make([]eventAt, len(evs))
+	nSends, nRecvs := 0, 0
+	lo, hi := 0, 0
+	for i, ev := range evs {
+		order[i] = eventAt{ev: ev, id: int32(i)}
+		switch ev.Op {
+		case schedule.OpSend:
+			nSends++
+		case schedule.OpRecv:
+			nRecvs++
+		}
+		if i == 0 || ev.Proc < lo {
+			lo = ev.Proc
+		}
+		if i == 0 || ev.Proc > hi {
+			hi = ev.Proc
+		}
+	}
+	slices.SortFunc(order, cmpAnalysis)
+	a.nodes = make([]node, len(order))
+	for id, k := range order {
 		dur := m.O
-		if ev.Op == schedule.OpCompute {
-			dur = ev.Dur
+		if k.ev.Op == schedule.OpCompute {
+			dur = k.ev.Dur
 		}
-		a.nodes = append(a.nodes, node{ev: ev, input: i, start: ev.Time, dur: dur})
+		a.nodes[id] = node{ev: k.ev, dur: dur, cons: noCons, input: k.id}
 	}
-	order := make([]int, len(a.nodes))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(x, y int) bool {
-		p, q := &a.nodes[order[x]], &a.nodes[order[y]]
-		if p.ev.Time != q.ev.Time {
-			return p.ev.Time < q.ev.Time
-		}
-		if p.ev.Proc != q.ev.Proc {
-			return p.ev.Proc < q.ev.Proc
-		}
-		if p.ev.Op != q.ev.Op {
-			return p.ev.Op < q.ev.Op
-		}
-		if p.ev.Item != q.ev.Item {
-			return p.ev.Item < q.ev.Item
-		}
-		return p.ev.Peer < q.ev.Peer
-	})
-	a.order = order
 
-	// Per-processor serialization (busy) and same-op spacing (gap) edges.
-	lastAt := make(map[int]int)            // proc -> last node in order
-	lastOp := make(map[[2]int]int)         // (proc, op) -> last node
-	type mkey struct{ from, to, item int } // message identity
-	sendsBy := make(map[mkey][]int)        // sends per identity, time order
-	recvsAt := make(map[[2]int][]int)      // (proc, item) -> recvs, time order
-	for _, id := range order {
-		n := &a.nodes[id]
-		p := n.ev.Proc
-		if prev, ok := lastAt[p]; ok {
-			pn := &a.nodes[prev]
-			if pn.dur > 0 { // zero-duration events impose no busy constraint
+	// Per-processor tables are dense, indexed by proc - lo. A schedule
+	// whose processors spread far wider than its events indexes them by
+	// rank among the distinct processors instead. The spread is compared
+	// before adding one, which would wrap for processors spanning the
+	// whole int range.
+	var procs []int
+	span := uint64(hi) - uint64(lo) + 1
+	if uint64(hi)-uint64(lo) >= 2*uint64(len(evs))+64 {
+		procs = make([]int, len(evs))
+		for i := range evs {
+			procs[i] = evs[i].Proc
+		}
+		slices.Sort(procs)
+		procs = slices.Compact(procs)
+		span = uint64(len(procs))
+	}
+	tab := make([]int32, 3*span)
+	for i := range tab {
+		tab[i] = -1
+	}
+	lastAt := tab[:span]
+	lastOp := [2][]int32{tab[span : 2*span], tab[2*span:]} // by OpSend, OpRecv
+
+	a.ports = make([]portKey, 0, nSends+nRecvs)
+	a.sends = make([]portKey, 0, nSends)
+	for i := range a.nodes {
+		id := int32(i)
+		n := &a.nodes[i]
+		p := n.ev.Proc - lo
+		if procs != nil {
+			p, _ = slices.BinarySearch(procs, n.ev.Proc)
+		}
+		if prev := lastAt[p]; prev >= 0 {
+			if pn := &a.nodes[prev]; pn.dur > 0 { // zero-duration events impose no busy constraint
 				kind := KindBusy
 				if pn.ev.Op == schedule.OpCompute {
 					kind = KindCompute
 				}
-				n.cons = append(n.cons, constraint{from: prev, kind: kind, bound: pn.end()})
+				n.cons[slotBusy] = constraint{from: prev, kind: kind, bound: pn.end()}
 			}
 		}
 		lastAt[p] = id
-		if n.ev.Op != schedule.OpCompute {
-			k := [2]int{p, int(n.ev.Op)}
-			if prev, ok := lastOp[k]; ok {
-				n.cons = append(n.cons, constraint{
-					from: prev, kind: KindGap, bound: a.nodes[prev].start + m.G,
-				})
-			}
-			lastOp[k] = id
-		}
 		switch n.ev.Op {
-		case schedule.OpSend:
-			sendsBy[mkey{p, n.ev.Peer, n.ev.Item}] = append(sendsBy[mkey{p, n.ev.Peer, n.ev.Item}], id)
-		case schedule.OpRecv:
-			recvsAt[[2]int{p, n.ev.Item}] = append(recvsAt[[2]int{p, n.ev.Item}], id)
+		case schedule.OpSend, schedule.OpRecv:
+			last := lastOp[n.ev.Op]
+			if prev := last[p]; prev >= 0 {
+				n.cons[slotGap] = constraint{from: prev, kind: KindGap, bound: a.nodes[prev].ev.Time + m.G}
+			}
+			last[p] = id
+			a.ports = append(a.ports, portKey{x: n.ev.Proc, item: n.ev.Item, y: n.ev.Peer, id: id, recv: n.ev.Op == schedule.OpRecv})
+			if n.ev.Op == schedule.OpSend {
+				a.sends = append(a.sends, portKey{x: n.ev.Peer, item: n.ev.Item, y: n.ev.Proc, id: id})
+			}
 		}
 	}
+	slices.SortFunc(a.ports, cmpPort)
+	slices.SortFunc(a.sends, cmpPort)
+}
 
-	// Latency edges: match each recv to an unused send of the same message
-	// identity whose arrival is at or before the reception (buffered
-	// receptions may start late), preferring the latest such arrival; an
-	// exact-arrival strict trace matches one-to-one.
-	used := make(map[int]bool)
-	for _, id := range order {
-		n := &a.nodes[id]
-		if n.ev.Op != schedule.OpRecv {
-			continue
-		}
-		cands := sendsBy[mkey{n.ev.Peer, n.ev.Proc, n.ev.Item}]
-		best := -1
-		for _, sid := range cands {
-			if used[sid] {
-				continue
-			}
-			if arr := a.nodes[sid].start + m.O + m.L; arr <= n.start {
-				best = sid // candidates are in time order; keep the latest
-			}
-		}
-		if best < 0 { // violating trace: fall back to the earliest unused send
-			for _, sid := range cands {
-				if !used[sid] {
-					best = sid
-					break
-				}
-			}
-		}
-		if best >= 0 {
-			used[best] = true
-			n.cons = append(n.cons, constraint{
-				from: best, kind: KindLatency, bound: a.nodes[best].start + m.O + m.L,
-			})
-		}
+// run returns the end j of the (proc, item) run of a.ports that starts at
+// i, where its receptions begin (sends sort first), and its earliest
+// reception — the one first in analysis order, -1 when the run has none.
+func (a *analyzer) run(i int) (j, r int, first int32) {
+	ps := a.ports
+	j, first = i, -1
+	for j < len(ps) && ps[j].x == ps[i].x && ps[j].item == ps[i].item && !ps[j].recv {
+		j++
 	}
+	r = j
+	for j < len(ps) && ps[j].x == ps[i].x && ps[j].item == ps[i].item {
+		if first < 0 || ps[j].id < first {
+			first = ps[j].id
+		}
+		j++
+	}
+	return j, r, first
+}
 
-	// Availability edges: each send needs its item; the provider is whatever
-	// made it available earliest at the sender — the item's origin there, or
-	// the sender's first reception of it.
-	for _, id := range order {
-		n := &a.nodes[id]
-		if n.ev.Op != schedule.OpSend {
-			continue
+// link walks the (processor, item) pairs in ascending order — the runs of
+// a.ports merged with the origins — and attaches the edges that join events
+// across processors: availability (or origin) into each send, and latency
+// from each reception's matching send. It also records the latest pair
+// availability for finish.
+func (a *analyzer) link(origins map[int]schedule.Origin) {
+	ogs := make([]originAt, 0, len(origins))
+	for item, og := range origins {
+		ogs = append(ogs, originAt{proc: og.Proc, item: item, time: og.Time})
+	}
+	slices.SortFunc(ogs, cmpOrigin)
+	a.pairNode = -1
+	ps := a.ports
+	for i, o := 0, 0; i < len(ps) || o < len(ogs); {
+		// The next pair holds a run, an origin, or both.
+		var c int
+		switch {
+		case i == len(ps):
+			c = 1
+		case o == len(ogs):
+			c = -1
+		default:
+			c = cmpOrigin(originAt{proc: ps[i].x, item: ps[i].item}, ogs[o])
 		}
-		provider, kind, at := -1, EdgeKind(-1), logp.Time(0)
-		if og, ok := origins[n.ev.Item]; ok && og.Proc == n.ev.Proc {
-			provider, kind, at = -1, KindOrigin, og.Time
+		// The pair's earliest availability: the origin, unless a
+		// reception comes strictly earlier.
+		in := constraint{from: -1, kind: kindNone}
+		if c >= 0 {
+			in = constraint{from: -1, kind: KindOrigin, bound: ogs[o].time}
+			o++
 		}
-		if rs := recvsAt[[2]int{n.ev.Proc, n.ev.Item}]; len(rs) > 0 {
-			first := rs[0] // earliest reception = earliest availability
-			if avail := a.nodes[first].end(); kind < 0 || avail < at {
-				provider, kind, at = first, KindAvail, avail
+		j, r, first := i, i, int32(-1)
+		if c <= 0 {
+			j, r, first = a.run(i)
+		}
+		if first >= 0 {
+			if at := a.nodes[first].end(); in.kind == kindNone || at < in.bound {
+				in = constraint{from: first, kind: KindAvail, bound: at}
 			}
 		}
-		if kind >= 0 {
-			a.nodes[id].cons = append(a.nodes[id].cons, constraint{from: provider, kind: kind, bound: at})
+		if in.kind != kindNone && (!a.havePair || in.bound > a.pairTime) {
+			a.havePair, a.pairNode, a.pairTime = true, in.from, in.bound
 		}
+		// Availability edges: each send needs its item; the provider is
+		// whatever made it available earliest at the sender — the item's
+		// origin there, or the sender's first reception of it.
+		if in.kind != kindNone {
+			for _, e := range ps[i:r] {
+				a.nodes[e.id].cons[slotIn] = in
+			}
+		}
+		// Latency edges, one message identity at a time: the receptions
+		// ps[r:j] are sorted by sender.
+		for r < j {
+			q := r + 1
+			for q < j && ps[q].y == ps[r].y {
+				q++
+			}
+			a.match(ps[r:q])
+			r = q
+		}
+		i = j
+	}
+}
+
+// match gives each reception of one message identity (in analysis order)
+// its latency edge: an unused send of the same identity whose arrival is at
+// or before the reception (buffered receptions may start late), preferring
+// the latest such arrival; an exact-arrival strict trace matches
+// one-to-one. A violating trace falls back to the earliest unused send.
+// Sends whose arrival has passed wait on a stack kept in place at the front
+// of their own run of a.sends, so the latest one is on top.
+func (a *analyzer) match(recvs []portKey) {
+	ss := a.sends
+	for a.cursor < len(ss) && cmpMessage(ss[a.cursor], recvs[0]) < 0 {
+		a.cursor++
+	}
+	lo := a.cursor
+	for a.cursor < len(ss) && cmpMessage(ss[a.cursor], recvs[0]) == 0 {
+		a.cursor++
+	}
+	sends := ss[lo:a.cursor]
+	flight := a.m.O + a.m.L
+	top, next := 0, 0
+	for _, rv := range recvs {
+		start := a.nodes[rv.id].ev.Time
+		for next < len(sends) && a.nodes[sends[next].id].ev.Time+flight <= start {
+			sends[top] = sends[next]
+			top++
+			next++
+		}
+		var best int32
+		switch {
+		case top > 0:
+			top--
+			best = sends[top].id
+		case next < len(sends):
+			best = sends[next].id
+			next++
+		default:
+			continue
+		}
+		a.nodes[rv.id].cons[slotIn] = constraint{from: best, kind: KindLatency, bound: a.nodes[best].ev.Time + flight}
 	}
 }
 
 // finish determines the run's completion time — the latest item availability
 // across all (processor, item) pairs, or the end of the last compute if that
 // is later — and the node that realizes it (-1 when an origin injection or
-// an empty schedule realizes it).
-func (a *analyzer) finish(origins map[int]schedule.Origin) (int, logp.Time) {
-	type pi struct{ proc, item int }
-	avail := make(map[pi]logp.Time)
-	by := make(map[pi]int) // realizing recv node, -1 for origin
-	for item, og := range origins {
-		k := pi{og.Proc, item}
-		if t, ok := avail[k]; !ok || og.Time < t {
-			avail[k] = og.Time
-			by[k] = -1
-		}
-	}
-	for _, id := range a.order {
+// an empty schedule realizes it). Among equally late pairs the smallest
+// (processor, item) realizes it; among equally late computes the first.
+func (a *analyzer) finish() (int32, logp.Time) {
+	bestNode, bestT, have := a.pairNode, a.pairTime, a.havePair
+	for id := range a.nodes {
 		n := &a.nodes[id]
-		if n.ev.Op != schedule.OpRecv {
-			continue
+		if n.ev.Op == schedule.OpCompute && (n.end() > bestT || !have) {
+			have, bestT, bestNode = true, n.end(), int32(id)
 		}
-		k := pi{n.ev.Proc, n.ev.Item}
-		at := n.end()
-		if t, ok := avail[k]; !ok || at < t {
-			avail[k] = at
-			by[k] = id
-		}
-	}
-	bestNode, bestT, havePI := -1, logp.Time(0), false
-	var bestK pi
-	for k, t := range avail {
-		if !havePI || t > bestT || (t == bestT && (k.proc < bestK.proc || (k.proc == bestK.proc && k.item < bestK.item))) {
-			havePI, bestT, bestK, bestNode = true, t, k, by[k]
-		}
-	}
-	for _, id := range a.order {
-		n := &a.nodes[id]
-		if n.ev.Op == schedule.OpCompute && (n.end() > bestT || !havePI) {
-			havePI, bestT, bestNode = true, n.end(), id
-		}
-	}
-	if !havePI {
-		return -1, 0
 	}
 	return bestNode, bestT
 }
 
 // binding returns the constraint with the latest bound (ties broken by kind
-// order, then predecessor index) and reports whether any constraint exists.
-func (a *analyzer) binding(id int) (constraint, bool) {
-	n := &a.nodes[id]
-	if len(n.cons) == 0 {
-		return constraint{}, false
-	}
-	best := n.cons[0]
-	for _, c := range n.cons[1:] {
-		if c.bound > best.bound ||
-			(c.bound == best.bound && (c.kind > best.kind ||
-				(c.kind == best.kind && c.from < best.from))) {
+// order; a node has at most one constraint of each kind) and reports whether
+// any constraint exists.
+func (a *analyzer) binding(id int32) (constraint, bool) {
+	best := constraint{from: -1, kind: kindNone}
+	for _, c := range a.nodes[id].cons {
+		if c.kind != kindNone && (best.kind == kindNone || c.bound > best.bound || (c.bound == best.bound && c.kind > best.kind)) {
 			best = c
 		}
 	}
-	return best, true
+	return best, best.kind != kindNone
 }
 
 // walk extracts the critical path ending at finNode and its breakdown. The
-// decomposition telescopes exactly to finTime.
-func (a *analyzer) walk(finNode int, finTime logp.Time) ([]Step, Breakdown) {
+// decomposition telescopes exactly to finTime. Step indices are input
+// indices.
+func (a *analyzer) walk(finNode int32, finTime logp.Time) ([]Step, Breakdown) {
 	var bd Breakdown
 	if finNode < 0 {
 		bd.Origin = finTime // an origin injection (or nothing) realizes the finish
@@ -527,18 +705,34 @@ func (a *analyzer) walk(finNode int, finTime logp.Time) ([]Step, Breakdown) {
 	default:
 		bd.Overhead += fin.dur // the final reception's own overhead
 	}
-	var rev []Step
-	id := finNode
-	for {
-		n := &a.nodes[id]
+	// Count the steps first, so the path is allocated once. A chain longer
+	// than the schedule revisits an event — only a trace that breaks its
+	// constraints can bind in a cycle — and is cut there: the step that
+	// closes the cycle becomes the root, taken as unconstrained.
+	steps, cut := 1, false
+	for id := finNode; ; steps++ {
 		c, ok := a.binding(id)
-		if !ok {
-			rev = append(rev, Step{Event: n.ev, Index: id, Kind: KindStart, Slack: n.start})
-			bd.Wait += n.start
+		if !ok || c.from < 0 || c.kind == KindOrigin {
 			break
 		}
-		rev = append(rev, Step{Event: n.ev, Index: id, Kind: c.kind, Slack: n.start - c.bound})
-		bd.Wait += n.start - c.bound
+		if steps == len(a.nodes) {
+			cut = true
+			break
+		}
+		id = c.from
+	}
+	path := make([]Step, steps)
+	id := finNode
+	for i := steps - 1; i >= 0; i-- {
+		n := &a.nodes[id]
+		c, ok := a.binding(id)
+		if !ok || (cut && i == 0) {
+			path[i] = Step{Event: n.ev, Index: int(n.input), Kind: KindStart, Slack: n.ev.Time}
+			bd.Wait += n.ev.Time
+			break
+		}
+		path[i] = Step{Event: n.ev, Index: int(n.input), Kind: c.kind, Slack: n.ev.Time - c.bound}
+		bd.Wait += n.ev.Time - c.bound
 		switch c.kind {
 		case KindLatency:
 			bd.Latency += a.m.L
@@ -552,61 +746,44 @@ func (a *analyzer) walk(finNode int, finTime logp.Time) ([]Step, Breakdown) {
 		case KindOrigin:
 			bd.Origin += c.bound
 		}
-		if c.from < 0 || c.kind == KindOrigin {
-			break
-		}
 		id = c.from
-	}
-	path := make([]Step, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		path = append(path, rev[i])
 	}
 	return path, bd
 }
 
 // slacks runs the backward pass: for every node, the latest start that moves
 // neither the finish time nor any successor past its own latest start. The
-// returned slice is indexed by node id; negative slack marks a constraint
-// the trace violated.
+// returned slice is indexed by input event; negative slack marks a
+// constraint the trace violated.
 func (a *analyzer) slacks(finTime logp.Time) []logp.Time {
-	latest := make([]logp.Time, len(a.nodes))
-	for id := range a.nodes {
-		latest[id] = finTime - a.nodes[id].dur
+	// Reverse causal order: descending start; among equal starts sends
+	// first, so an o=0 availability edge (recv -> send at the same instant)
+	// sees its successor's final value; then input order.
+	nodes := a.nodes
+	order := make([]startAt, len(nodes))
+	latest := make([]logp.Time, len(nodes))
+	for id := range nodes {
+		n := &nodes[id]
+		latest[id] = finTime - n.dur
+		order[id] = startAt{time: n.ev.Time, op: n.ev.Op, input: n.input, id: int32(id)}
 	}
-	// Process in reverse causal order: descending start; among equal starts
-	// sends first, so an o=0 availability edge (recv -> send at the same
-	// instant) sees its successor's final value.
-	order := make([]int, len(a.nodes))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(x, y int) bool {
-		p, q := &a.nodes[order[x]], &a.nodes[order[y]]
-		if p.start != q.start {
-			return p.start > q.start
-		}
-		if p.ev.Op != q.ev.Op {
-			return p.ev.Op < q.ev.Op
-		}
-		return order[x] < order[y]
-	})
-	for _, id := range order {
-		n := &a.nodes[id]
-		for _, c := range n.cons {
-			if c.from < 0 {
+	slices.SortFunc(order, cmpBackward)
+	for _, k := range order {
+		for _, c := range nodes[k.id].cons {
+			if c.kind == kindNone || c.from < 0 {
 				continue
 			}
 			// The constraint is start(n) >= start(from) + delta, so from may
 			// start no later than latest(n) - delta.
-			delta := c.bound - a.nodes[c.from].start
-			if lim := latest[id] - delta; lim < latest[c.from] {
+			delta := c.bound - nodes[c.from].ev.Time
+			if lim := latest[k.id] - delta; lim < latest[c.from] {
 				latest[c.from] = lim
 			}
 		}
 	}
-	out := make([]logp.Time, len(a.nodes))
-	for id := range a.nodes {
-		out[id] = latest[id] - a.nodes[id].start
+	out := make([]logp.Time, len(nodes))
+	for id := range nodes {
+		out[nodes[id].input] = latest[id] - nodes[id].ev.Time
 	}
 	return out
 }
