@@ -33,7 +33,7 @@ bench:
 # patterns are anchored so each benchmark runs in exactly one pass (Sweep
 # once also matched ServdBatchSweep); benchjson refuses a duplicate.
 bench-json:
-	{ $(GO) test -bench='^Benchmark(SolverPortfolio|SolverMemoized|Sweep|SimReplay|Construct|ScheduleWriteJSON|CausalAnalyze)' -benchmem -run=^$$ \
+	{ $(GO) test -bench='^Benchmark(SolverPortfolio|SolverMemoized|Sweep|SimReplay|Construct|ScheduleWriteJSON|CausalAnalyze|CertifyReport)' -benchmem -run=^$$ \
 		./internal/continuous/ ./internal/bench/ ./internal/sim/ ; \
 	  $(GO) test -bench='^BenchmarkServd' -run=^$$ ./internal/bench/ ; \
 	  $(GO) test -bench='^BenchmarkScale' -benchtime 2x -benchmem -run=^$$ ./internal/bench/ ; } \
@@ -47,7 +47,7 @@ bench-json:
 # The scale metrics gate direction-aware: events/sec on drops, peak RSS on
 # growth, both with generous fractions since they ride on wall time.
 bench-gate:
-	{ $(GO) test -bench='^Benchmark(SolverPortfolio|SolverMemoized|Sweep|SimReplay|Construct|ScheduleWriteJSON|CausalAnalyze)' -benchmem -run=^$$ \
+	{ $(GO) test -bench='^Benchmark(SolverPortfolio|SolverMemoized|Sweep|SimReplay|Construct|ScheduleWriteJSON|CausalAnalyze|CertifyReport)' -benchmem -run=^$$ \
 		./internal/continuous/ ./internal/bench/ ./internal/sim/ ; \
 	  $(GO) test -bench='^BenchmarkServd' -run=^$$ ./internal/bench/ ; \
 	  $(GO) test -bench='^BenchmarkScale' -benchtime 2x -benchmem -run=^$$ ./internal/bench/ ; } \

@@ -16,7 +16,7 @@
 // the agreed schedules through all five backends.
 //
 // -scale adds large-P broadcast and reduction cases at the given processor
-// counts — the sizes where the simulator's sharded flight queue and the
+// counts — the sizes where the simulator's slab-sized replay and the
 // runtime's worker pool engage — on top of the paper and random corpora.
 //
 // On divergence, the minimal shrunk case is automatically replayed once per

@@ -176,13 +176,21 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	s, bound := c.S, c.Bound
 
-	// The causal analysis feeds three consumers — the sampler's keep set,
-	// the run report's breakdown, and -explain — so it is computed at most
-	// once and shared.
+	// The derived origins feed the analysis and both replays, and the causal
+	// analysis feeds three consumers — the sampler's keep set, the run
+	// report's breakdown, and -explain — so each is computed at most once
+	// and shared.
+	var origins map[int]schedule.Origin
+	derived := func() map[int]schedule.Origin {
+		if origins == nil {
+			origins = schedule.DerivedOrigins(s)
+		}
+		return origins
+	}
 	var crep *causal.Report
 	analyze := func() *causal.Report {
 		if crep == nil {
-			crep = causal.Analyze(s, schedule.DerivedOrigins(s))
+			crep = causal.Analyze(s, derived())
 		}
 		return crep
 	}
@@ -206,7 +214,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		eng := sim.New(s.M, sim.Strict)
 		eng.Tracer = tracer
-		eng.Replay(s, schedule.DerivedOrigins(s))
+		eng.Replay(s, derived())
 		if err := closeTrace(); err != nil {
 			return err
 		}
@@ -217,7 +225,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *reportOut != "" || *storeDir != "" {
-		r := cliutil.BuildReport("logpsched", *op, s, schedule.DerivedOrigins(s), bound, analyze())
+		r := cliutil.BuildReport("logpsched", *op, s, derived(), bound, analyze())
 		r.Constructor = ctorName
 		if *reportOut != "" {
 			if err := cliutil.WriteReport("logpsched", r, *reportOut); err != nil {

@@ -252,3 +252,27 @@ func TestReportMatchesSim(t *testing.T) {
 		}
 	}
 }
+
+// TestPostalReportsValidate pins the postal utilization definition: a postal
+// processor can send and receive in the same cycle, so the all-to-all and
+// personalized schedules keep both ports busy past one event per cycle. The
+// report must count the two ports separately and still pass its own [0,1]
+// utilization check, where it used to be refused as an internal error.
+func TestPostalReportsValidate(t *testing.T) {
+	for _, op := range []string{"alltoall", "personalized"} {
+		path := filepath.Join(t.TempDir(), op+".json")
+		if _, err := exec(t, "-op", op, "-P", "10", "-L", "3", "-postal", "-k", "3", "-report", path); err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		r, err := report.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%s: report does not round-trip: %v", op, err)
+		}
+		if r.Violations != 0 {
+			t.Fatalf("%s: clean schedule reported %d violations", op, r.Violations)
+		}
+		if u := r.Stats.PortUtilFinish; u <= 0.5 || u > 1 {
+			t.Fatalf("%s: port utilization %v, want in (0.5, 1]: both ports are busy", op, u)
+		}
+	}
+}

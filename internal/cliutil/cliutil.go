@@ -171,7 +171,7 @@ func BuildReport(tool, op string, s *schedule.Schedule, origins map[int]schedule
 		// is omitted rather than attached inconsistently.
 		r.Breakdown = nil
 	}
-	r.Stats = report.FromStats(schedule.ComputeStats(eng.Executed(), simRep.Finish, nil))
+	r.Stats = report.FromStats(eng.Stats())
 	r.Violations = len(simRep.Violations)
 	r.SetTimeseries(ts)
 	return r
@@ -183,7 +183,7 @@ func BuildReport(tool, op string, s *schedule.Schedule, origins map[int]schedule
 // schema is a bug, reported as one.
 func WriteReport(cmd string, r *report.Report, path string) error {
 	if err := r.Validate(); err != nil {
-		return fmt.Errorf("%s: internal error building run report: %w", cmd, err)
+		return fmt.Errorf("internal error building run report: %w", err)
 	}
 	if err := r.WriteFile(path); err != nil {
 		return WriteError("run report", path, err)

@@ -94,8 +94,8 @@ func PaperCases() []Case {
 // on a general LogP machine and the reduction (summation tree) on a postal
 // machine, at each requested processor count. These are the cases the
 // million-processor engine work is graded on — the backends must stay in
-// lockstep not just on the small paper instances but where the sharded
-// flight queue and the worker-pool runtime actually engage.
+// lockstep not just on the small paper instances but where the simulator's
+// large flight batches and the worker-pool runtime actually engage.
 func ScaleCases(ps ...int) []Case {
 	var cs []Case
 	for _, p := range ps {

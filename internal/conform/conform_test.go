@@ -1,7 +1,9 @@
 package conform
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"logpopt/internal/schedule"
@@ -121,6 +123,34 @@ func TestFinishOfMatchesSim(t *testing.T) {
 		r := ck.simStrict.Replay(c)
 		if f := finishOf(r.Trace, c.Origins); f != r.Finish {
 			t.Errorf("%s: sim Finish=%d, finishOf=%d", c.Name, r.Finish, f)
+		}
+	}
+}
+
+// TestCausalDiffNeedsTraceDiff pins the implication Check relies on to skip
+// the causal analysis: two traces that traceDiff finds equal — the same
+// event multiset in any order — have the same critical-path signature. Each
+// backend's executed trace is compared against a shuffled copy of itself.
+func TestCausalDiffNeedsTraceDiff(t *testing.T) {
+	ck := NewChecker()
+	rng := rand.New(rand.NewSource(1))
+	cases := PaperCases()
+	for seed := int64(0); seed < 120; seed++ {
+		cases = append(cases, Generate(seed))
+	}
+	for _, c := range cases {
+		for _, b := range []Backend{ck.simStrict, ck.simBuf, ck.rtStrict, ck.rtBuf} {
+			tr := b.Replay(c).Trace
+			shuffled := &schedule.Schedule{M: tr.M, Events: slices.Clone(tr.Events)}
+			rng.Shuffle(len(shuffled.Events), func(i, j int) {
+				shuffled.Events[i], shuffled.Events[j] = shuffled.Events[j], shuffled.Events[i]
+			})
+			if d := traceDiff(sortedEvents(tr), sortedEvents(shuffled)); d != "" {
+				t.Fatalf("%s on %s: a shuffled trace differs from itself: %s", c.Name, b.Name(), d)
+			}
+			if d := causalDiff(tr, shuffled, c.Origins); d != "" {
+				t.Errorf("%s on %s: equal traces, different critical paths: %s", c.Name, b.Name(), d)
+			}
 		}
 	}
 }

@@ -5,8 +5,8 @@ import "testing"
 // TestScaleCasesConform runs the backend-equivalence contract at the
 // processor counts the million-processor engine work targets: broadcast and
 // reduction at P = 64 and 1024 always, and P = 1e4 and 1e5 unless -short.
-// This is where the sharded flight queue (sim) and the chunked worker pool
-// (runtime) take over from the small-machine code paths, so lockstep here
+// This is where the simulator's large flight batches and the chunked worker
+// pool (runtime) take over from the small-machine code paths, so lockstep here
 // means the rework preserved the step semantics, not just the small cases.
 func TestScaleCasesConform(t *testing.T) {
 	ps := []int{64, 1024}

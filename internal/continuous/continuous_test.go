@@ -306,3 +306,30 @@ func TestSolveErrorNamesL(t *testing.T) {
 		t.Fatalf("error %q does not contain %q", err, want)
 	}
 }
+
+// TestSolveErrorsNameLApartFromAlphabet covers the other two failure
+// messages of the solver: an exhausted portfolio and an infeasible strong
+// sum target. Each names the instance's L and prints the alphabet size
+// separately; both used to print the alphabet where the message says L.
+func TestSolveErrorsNameLApartFromAlphabet(t *testing.T) {
+	inst, err := NewInstanceGeneral(2, 12) // alphabet 3
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = solvePortfolio(inst, []int64{1}, 1, false)
+	if !errors.Is(err, ErrBudget) {
+		t.Fatalf("one-node portfolio: err = %v, want ErrBudget", err)
+	}
+	if want := "for L=2 t=6 (alphabet 3)"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not contain %q", err, want)
+	}
+
+	inst, err = NewInstanceGeneral(4, 3) // alphabet 2
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = solveBase(inst, solveOpts{strong: true})
+	if want := "strong sum target infeasible (L=4 t=5, alphabet 2)"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %v does not contain %q", err, want)
+	}
+}

@@ -391,7 +391,7 @@ func solveBase(inst *Instance, opts solveOpts) ([]idxWord, int, error) {
 		}
 		s.targetConsumed = totalSum - (rootSize - l + 1)
 		if s.targetConsumed < 0 {
-			return nil, 0, fmt.Errorf("continuous: strong sum target infeasible (L=%d t=%d)", l, t)
+			return nil, 0, fmt.Errorf("continuous: strong sum target infeasible (L=%d t=%d, alphabet %d)", inst.L, t, l)
 		}
 		for _, bi := range order {
 			s.slotsLeft += inst.Blocks[bi].Size - 1
@@ -510,8 +510,8 @@ func solvePortfolio(inst *Instance, budgets []int64, seeds int, strong bool) ([]
 	if winner >= 0 {
 		return res[winner].words, res[winner].recv, nil
 	}
-	return nil, 0, fmt.Errorf("continuous: %w (%d seeds, budgets up to %d) for L=%d t=%d",
-		ErrBudget, seeds, budgets[len(budgets)-1], inst.alphabet(), inst.T)
+	return nil, 0, fmt.Errorf("continuous: %w (%d seeds, budgets up to %d) for L=%d t=%d (alphabet %d)",
+		ErrBudget, seeds, budgets[len(budgets)-1], inst.L, inst.T, inst.alphabet())
 }
 
 // strongSolve computes strong solutions bottom-up from t = 2L-2 to the

@@ -20,7 +20,7 @@ type Stats struct {
 	Sends, Recvs   int       // total message events
 	BusyCycles     int64     // sum over processors of overhead cycles spent
 	Span           logp.Time // finish time of the run
-	PortUtilFinish float64   // BusyCycles / (P * Span); 0 when Span == 0
+	PortUtilFinish float64   // BusyCycles / (ports * P * Span); 0 when Span == 0
 	MaxQueue       int       // largest per-processor queue high-water mark
 	PerProc        []ProcStats
 }
@@ -31,6 +31,12 @@ type Stats struct {
 // breakdown with idle = span - busy, and the buffered-queue high-water marks
 // supplied by the engine (maxQueue may be nil or shorter than P; missing
 // entries are 0).
+//
+// Utilization divides the busy cycles by the port cycles the run had. With
+// o > 0 a processor's send and receive overheads exclude each other, so it
+// has one port cycle per cycle. In the postal model its send and receive
+// ports work independently — it can send and receive in the same cycle —
+// so each port is counted separately: two port cycles per cycle.
 func ComputeStats(s *Schedule, span logp.Time, maxQueue []int) Stats {
 	st := Stats{PerProc: make([]ProcStats, s.M.P)}
 	perEvent := int64(s.M.O)
@@ -68,7 +74,11 @@ func ComputeStats(s *Schedule, span logp.Time, maxQueue []int) Stats {
 		}
 	}
 	if span > 0 && s.M.P > 0 {
-		st.PortUtilFinish = float64(st.BusyCycles) / (float64(s.M.P) * float64(span))
+		ports := 1
+		if s.M.O == 0 {
+			ports = 2
+		}
+		st.PortUtilFinish = float64(st.BusyCycles) / (float64(ports*s.M.P) * float64(span))
 	}
 	return st
 }

@@ -127,3 +127,28 @@ func TestComputeStatsBusyIdleProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestComputeStatsPostalPortsSeparate covers a postal processor that sends
+// and receives in every cycle: its busy cycles reach twice the span, and
+// utilization counts its two ports separately, so a fully busy run reads 1.
+func TestComputeStatsPostalPortsSeparate(t *testing.T) {
+	m := logp.Postal(2, 1)
+	s := &schedule.Schedule{M: m}
+	const span = 4
+	for tm := logp.Time(0); tm < span; tm++ {
+		s.Send(0, tm, int(tm), 1)
+		s.Recv(0, tm+1, 100+int(tm), 1)
+		s.Send(1, tm, 100+int(tm), 0)
+		s.Recv(1, tm+1, int(tm), 0)
+	}
+	st := schedule.ComputeStats(s, span, nil)
+	if st.BusyCycles != 4*span {
+		t.Fatalf("busy cycles %d, want %d (one per port event)", st.BusyCycles, 4*span)
+	}
+	if st.PortUtilFinish != 1 {
+		t.Fatalf("utilization %v, want 1: both ports of both processors busy every cycle", st.PortUtilFinish)
+	}
+	if pp := st.PerProc[0]; pp.BusyCycles != 2*span || pp.IdleCycles != 0 {
+		t.Fatalf("P0 busy %d idle %d, want %d and 0", pp.BusyCycles, pp.IdleCycles, 2*span)
+	}
+}

@@ -1,183 +1,111 @@
 package sim
 
-// flightQueue is the engine's in-flight message store, sharded by destination
-// processor for large P: messages land in per-shard binary min-heaps (shard =
-// To & mask), and a small top-level heap over the shard minima yields the
-// global minimum. Pop order is exactly the single-heap flightBefore order —
-// the comparator is total and the destination pins each message to one shard,
-// so cross-shard minima never tie on the full key with different shards
-// winning (two messages in different shards necessarily differ in To).
-//
-// The point of sharding is the heap depth: with P ~ 10^6 a broadcast keeps a
-// constant fraction of P messages in flight, and every push/pop of a single
-// 2^20-element heap walks ~20 cache-missing levels. Sharded, each operation
-// walks log(n/shards) levels in a heap small enough to stay cache-resident,
-// plus a log(shards) fix-up of the tiny top-level heap.
+import (
+	"cmp"
+	"slices"
+
+	"logpopt/internal/logp"
+)
+
+// flightQueue holds the messages in flight. Every message spends the same
+// o+L cycles between its send and its arrival, and the engine clock never
+// runs backwards, so messages arrive in the order they were sent: the queue
+// is a FIFO. Only the messages arriving in one cycle need ordering among
+// themselves — by destination, item, then sender (cmpFlight) — so each
+// cycle's batch is sorted once, when its first message is popped. By then
+// every message of the batch has been pushed, since a push happens o+L >= 1
+// cycles before its arrival. Pushes append, and pops read one contiguous,
+// sorted run.
 type flightQueue struct {
-	shards []flightHeap
-	mask   int
-	// top is a binary min-heap of shard indices ordered by flightBefore of
-	// the shards' minimum messages; pos[s] is shard s's position in top, -1
-	// when the shard is empty (absent from top).
-	top  []int32
-	pos  []int32
-	size int
-	peak int // high-water total size since the last reset (watermark input)
+	msgs   []Msg // msgs[head:] are in flight, in nondecreasing Arrive order
+	head   int
+	sorted int // msgs[head:sorted] is the due batch, in cmpFlight order
+	peak   int // high-water size since the last reset (watermark input)
 }
 
-// shardCountFor picks a power-of-two shard count for a machine with p
-// processors: 1 below the sharding threshold (a single heap is already
-// cache-resident and the top-level indirection would be pure overhead), then
-// roughly one shard per 4096 processors, capped at 256.
-func shardCountFor(p int) int {
-	if p <= 4096 {
-		return 1
+// cmpFlight is the total order in which messages arrive: by arrival time,
+// then destination, item and sender.
+func cmpFlight(a, b Msg) int {
+	if c := cmp.Compare(a.Arrive, b.Arrive); c != 0 {
+		return c
 	}
-	n := 1
-	for n < p/4096 && n < 256 {
-		n <<= 1
+	if c := cmp.Compare(a.To, b.To); c != 0 {
+		return c
 	}
-	return n
+	if c := cmp.Compare(a.Item, b.Item); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.From, b.From)
 }
 
-// reset prepares the queue for a machine with p processors, reusing shard
-// storage when the shard count is unchanged.
-func (q *flightQueue) reset(p int) {
-	n := shardCountFor(p)
-	if len(q.shards) != n {
-		q.shards = make([]flightHeap, n)
-		q.top = make([]int32, 0, n)
-		q.pos = make([]int32, n)
+// reset empties the queue, keeping its storage unless it is more than 4x
+// the room reserve gives a run whose peak is keep messages, the Reset
+// watermark.
+func (q *flightQueue) reset(keep int) {
+	if oversized(cap(q.msgs), 2*keep, 1024) {
+		q.msgs = nil
 	} else {
-		for i := range q.shards {
-			q.shards[i] = q.shards[i][:0]
+		q.msgs = q.msgs[:0]
+	}
+	q.head, q.sorted, q.peak = 0, 0, 0
+}
+
+// reserve sizes the queue for replaying sends (sorted by time), so that it
+// never grows mid-run. A message sent at s is in flight from its push until
+// the first tick at or past s+w, w = o+L, pops it; so when the batch of time
+// t is pushed the queue holds exactly the sends from (t-w, t] — fewer if
+// some fail. Twice that peak leaves push room to slide the queue to the
+// front of its storage instead of growing it.
+func (q *flightQueue) reserve(sends []replaySend, w logp.Time) {
+	peak, j := 0, 0
+	for i, ev := range sends {
+		for sends[j].Time <= ev.Time-w {
+			j++
 		}
-		q.top = q.top[:0]
+		peak = max(peak, i+1-j)
 	}
-	for i := range q.pos {
-		q.pos[i] = -1
+	if need := q.len() + 2*peak; cap(q.msgs) < need {
+		q.msgs = slices.Grow(q.msgs, need-len(q.msgs))
 	}
-	q.mask = n - 1
-	q.size = 0
-	q.peak = 0
 }
 
-func (q *flightQueue) len() int { return q.size }
+func (q *flightQueue) len() int { return len(q.msgs) - q.head }
 
-// peek returns the globally minimal in-flight message. It must only be
+// nextArrival returns the earliest arrival time in flight. It must only be
 // called when len() > 0.
-func (q *flightQueue) peek() Msg {
-	s := q.top[0]
-	return q.shards[s][0]
-}
+func (q *flightQueue) nextArrival() logp.Time { return q.msgs[q.head].Arrive }
 
+// push adds a message sent at the current time, which arrives no earlier
+// than any message already in flight.
 func (q *flightQueue) push(m Msg) {
-	s := m.To & q.mask
-	h := &q.shards[s]
-	wasEmpty := len(*h) == 0
-	oldMin := Msg{}
-	if !wasEmpty {
-		oldMin = (*h)[0]
+	if len(q.msgs) == cap(q.msgs) && q.head >= len(q.msgs)/2 {
+		// At least half the storage has been popped: slide the queue to
+		// the front instead of growing it.
+		n := copy(q.msgs, q.msgs[q.head:])
+		q.msgs = q.msgs[:n]
+		q.sorted -= q.head
+		q.head = 0
 	}
-	h.push(m)
-	q.size++
-	if q.size > q.peak {
-		q.peak = q.size
-	}
-	if wasEmpty {
-		q.topInsert(int32(s))
-	} else if flightBefore((*h)[0], oldMin) {
-		q.topUp(q.pos[s])
-	}
+	q.msgs = append(q.msgs, m)
+	q.peak = max(q.peak, q.len())
 }
 
-// pop removes and returns the globally minimal message.
+// pop removes and returns the first message to arrive, ties broken by
+// cmpFlight. It must only be called when len() > 0.
 func (q *flightQueue) pop() Msg {
-	s := q.top[0]
-	h := &q.shards[s]
-	m := h.pop()
-	q.size--
-	if len(*h) == 0 {
-		q.topRemoveRoot()
-	} else {
-		q.topDown(0)
+	if q.head == q.sorted {
+		at, end := q.msgs[q.head].Arrive, q.head+1
+		for end < len(q.msgs) && q.msgs[end].Arrive == at {
+			end++
+		}
+		slices.SortFunc(q.msgs[q.head:end], cmpFlight)
+		q.sorted = end
+	}
+	m := q.msgs[q.head]
+	q.head++
+	if q.head == len(q.msgs) {
+		q.msgs = q.msgs[:0]
+		q.head, q.sorted = 0, 0
 	}
 	return m
-}
-
-// topBefore orders two shards by their minimum messages.
-func (q *flightQueue) topBefore(a, b int32) bool {
-	return flightBefore(q.shards[a][0], q.shards[b][0])
-}
-
-func (q *flightQueue) topInsert(s int32) {
-	q.top = append(q.top, s)
-	i := int32(len(q.top) - 1)
-	q.pos[s] = i
-	q.topUp(i)
-}
-
-func (q *flightQueue) topRemoveRoot() {
-	root := q.top[0]
-	q.pos[root] = -1
-	n := len(q.top) - 1
-	if n > 0 {
-		q.top[0] = q.top[n]
-		q.pos[q.top[0]] = 0
-	}
-	q.top = q.top[:n]
-	if n > 1 {
-		q.topDown(0)
-	}
-}
-
-func (q *flightQueue) topUp(i int32) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.topBefore(q.top[i], q.top[parent]) {
-			break
-		}
-		q.topSwap(i, parent)
-		i = parent
-	}
-}
-
-func (q *flightQueue) topDown(i int32) {
-	n := int32(len(q.top))
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && q.topBefore(q.top[l], q.top[min]) {
-			min = l
-		}
-		if r < n && q.topBefore(q.top[r], q.top[min]) {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		q.topSwap(i, min)
-		i = min
-	}
-}
-
-func (q *flightQueue) topSwap(i, j int32) {
-	q.top[i], q.top[j] = q.top[j], q.top[i]
-	q.pos[q.top[i]] = i
-	q.pos[q.top[j]] = j
-}
-
-// shrink releases shard storage whose capacity exceeds keep messages total,
-// proportionally per shard (the Reset watermark decay calls this so one huge
-// run does not pin heap memory for a whole sweep).
-func (q *flightQueue) shrink(keep int) {
-	if len(q.shards) == 0 {
-		return
-	}
-	per := keep/len(q.shards) + 1
-	for i := range q.shards {
-		if cap(q.shards[i]) > 4*per {
-			q.shards[i] = nil
-		}
-	}
 }

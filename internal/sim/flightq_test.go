@@ -8,59 +8,106 @@ import (
 	"logpopt/internal/logp"
 )
 
-// TestFlightQueueMatchesSingleHeap is the sharding correctness property: a
-// flightQueue over many shards must pop messages in exactly the order a
-// single flightHeap would — flightBefore is total and To pins each message
-// to one shard, so the merge over shard minima cannot reorder anything.
-func TestFlightQueueMatchesSingleHeap(t *testing.T) {
-	const p = 1 << 16 // forces 16 shards (shardCountFor threshold is 4096)
-	var q flightQueue
-	q.reset(p)
-	if len(q.shards) < 2 {
-		t.Fatalf("P=%d produced %d shards; property test needs a real shard merge", p, len(q.shards))
-	}
-	var ref flightHeap
+// refHeap is the binary min-heap of in-flight messages the engine's flight
+// queue used to be, ordered field by field by arrival, destination, item
+// and sender. It stays as the oracle for the FIFO that replaced it.
+type refHeap []Msg
 
-	rng := rand.New(rand.NewSource(42))
-	randMsg := func() Msg {
-		return Msg{
-			From:   rng.Intn(p),
-			To:     rng.Intn(p),
-			Item:   rng.Intn(4),
-			Arrive: logp.Time(rng.Intn(64)), // dense range to force ties
-			SendAt: logp.Time(rng.Intn(64)),
+func refBefore(a, b Msg) bool {
+	if a.Arrive != b.Arrive {
+		return a.Arrive < b.Arrive
+	}
+	if a.To != b.To {
+		return a.To < b.To
+	}
+	if a.Item != b.Item {
+		return a.Item < b.Item
+	}
+	return a.From < b.From
+}
+
+func (h *refHeap) push(m Msg) {
+	*h = append(*h, m)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !refBefore(s[i], s[parent]) {
+			break
 		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
 	}
+}
 
-	// Interleave pushes and pops so the top-level heap exercises insert,
-	// remove-root, sift-up and sift-down against partially drained shards.
-	const ops = 20000
-	for i := 0; i < ops; i++ {
-		if q.len() == 0 || rng.Intn(3) != 0 {
-			m := randMsg()
-			q.push(m)
-			ref.push(m)
-		} else {
-			got, want := q.pop(), ref.pop()
-			if got != want {
-				t.Fatalf("op %d: sharded pop %+v, single-heap pop %+v", i, got, want)
+func (h *refHeap) pop() Msg {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s = s[:n]
+	*h = s
+	for i := 0; ; {
+		l, r := 2*i+1, 2*i+2
+		min := i
+		if l < n && refBefore(s[l], s[min]) {
+			min = l
+		}
+		if r < n && refBefore(s[r], s[min]) {
+			min = r
+		}
+		if min == i {
+			break
+		}
+		s[i], s[min] = s[min], s[i]
+		i = min
+	}
+	return top
+}
+
+// TestFlightQueueMatchesSingleHeap is the flight queue's correctness
+// property: on every push sequence the engine can produce — messages sent
+// at a clock that never runs backwards, each arriving a fixed o+L later —
+// the FIFO pops exactly the order a single binary heap over the full
+// (arrival, destination, item, sender) key does. Pushes and pops of due
+// messages interleave, with dense ranges to force ties, so the queue both
+// grows and slides its storage.
+func TestFlightQueueMatchesSingleHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for _, w := range []logp.Time{1, 3, 8} {
+		var q flightQueue
+		var ref refHeap
+		var now logp.Time
+		const ops = 20000
+		for i := 0; i < ops; i++ {
+			switch r := rng.Intn(8); {
+			case r == 0:
+				now += logp.Time(rng.Intn(3))
+			case r < 4 && q.len() > 0 && q.nextArrival() <= now:
+				got, want := q.pop(), ref.pop()
+				if got != want {
+					t.Fatalf("w=%d op %d: FIFO pop %+v, heap pop %+v", w, i, got, want)
+				}
+			default:
+				m := Msg{From: rng.Intn(64), To: rng.Intn(64), Item: rng.Intn(4), SendAt: now, Arrive: now + w}
+				q.push(m)
+				ref.push(m)
+			}
+			if q.len() != len(ref) {
+				t.Fatalf("w=%d op %d: FIFO len %d, heap len %d", w, i, q.len(), len(ref))
+			}
+			if q.len() > 0 && q.nextArrival() != ref[0].Arrive {
+				t.Fatalf("w=%d op %d: FIFO next arrival %d, heap min %+v", w, i, q.nextArrival(), ref[0])
 			}
 		}
-		if q.len() != len(ref) {
-			t.Fatalf("op %d: sharded len %d, single-heap len %d", i, q.len(), len(ref))
+		for q.len() > 0 {
+			got, want := q.pop(), ref.pop()
+			if got != want {
+				t.Fatalf("w=%d drain: FIFO pop %+v, heap pop %+v", w, got, want)
+			}
 		}
-		if q.len() > 0 && q.peek() != ref[0] {
-			t.Fatalf("op %d: sharded peek %+v, single-heap min %+v", i, q.peek(), ref[0])
+		if len(ref) != 0 {
+			t.Fatalf("w=%d: heap retained %d messages after the FIFO drained", w, len(ref))
 		}
-	}
-	for q.len() > 0 {
-		got, want := q.pop(), ref.pop()
-		if got != want {
-			t.Fatalf("drain: sharded pop %+v, single-heap pop %+v", got, want)
-		}
-	}
-	if len(ref) != 0 {
-		t.Fatalf("single heap retained %d messages after sharded queue drained", len(ref))
 	}
 }
 
@@ -133,15 +180,11 @@ func TestResetShrinksAfterHugeRun(t *testing.T) {
 	if c := cap(e.procs); c >= big.P {
 		t.Errorf("proc slab capacity still %d after the sweep (big run had P=%d)", c, big.P)
 	}
-	if c := cap(e.avail.entries); c > 4096 {
+	if c := cap(e.avail.slab); c > 4096 {
 		t.Errorf("availability slab capacity still %d after the sweep", c)
 	}
-	total := 0
-	for i := range e.inflight.shards {
-		total += cap(e.inflight.shards[i])
-	}
-	if total > 4096 {
-		t.Errorf("flight shards retain %d total capacity after the sweep", total)
+	if c := cap(e.inflight.msgs); c > 4096 {
+		t.Errorf("flight queue retains %d capacity after the sweep", c)
 	}
 	// And the shrunken engine still works.
 	if rep := e.Replay(smallSched, og); len(rep.Violations) != 0 || rep.Finish == 0 {

@@ -2,13 +2,17 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"logpopt/internal/core"
 	"logpopt/internal/kitem"
 	"logpopt/internal/logp"
+	"logpopt/internal/logtime"
 	"logpopt/internal/obs/timeseries"
 	"logpopt/internal/schedule"
+	"logpopt/internal/serve/sched"
 )
 
 // TestResetReplayEquivalence replays a batch of schedules twice — fresh
@@ -148,5 +152,36 @@ func BenchmarkSimReplayTimeseriesOn(b *testing.B) {
 		if len(rep.Violations) != 0 {
 			b.Fatal(rep.Violations)
 		}
+	}
+}
+
+// TestReplayAllocs pins cold-replay sizing: a fresh engine sizes every slab
+// from the schedule before the run starts, so New + Replay makes the same
+// number of allocations at P = 1e3 and P = 1e4 — for broadcast, whose
+// processors hold one item, and for scan, whose processors hold several.
+func TestReplayAllocs(t *testing.T) {
+	// A GC cycle allocates for its own bookkeeping, and its allocations
+	// would land in whichever measurement it falls into; so the collector
+	// runs before each measurement and not during one.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, op := range []string{"broadcast", "scan"} {
+		allocs := func(p int) float64 {
+			comp, err := sched.Compile(logp.MustNew(p, 6, 2, 4), op, 1, 0, logtime.Tree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			og := schedule.DerivedOrigins(comp.S)
+			runtime.GC()
+			return testing.AllocsPerRun(5, func() {
+				if _, rep := Run(comp.S, Strict, og); len(rep.Violations) != 0 {
+					t.Fatalf("%s P=%d: %v", op, p, rep.Violations[0])
+				}
+			})
+		}
+		small, large := allocs(1_000), allocs(10_000)
+		if small != large {
+			t.Fatalf("%s: a fresh replay allocates %v times at P=1e3 and %v at P=1e4; want a count independent of P", op, small, large)
+		}
+		t.Logf("%s: %v allocations per fresh replay at any P", op, small)
 	}
 }

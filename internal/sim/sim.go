@@ -18,8 +18,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"logpopt/internal/logp"
 	"logpopt/internal/obs"
@@ -71,8 +72,9 @@ type Msg struct {
 }
 
 // procState tracks one processor's ports and holdings. Item availability
-// lives outside the struct, in the engine's slab-backed availStore, so a
-// million-processor engine allocates no per-processor maps.
+// and the capacity queues live outside the struct, in engine-wide slabs
+// (availStore, ends), so a million-processor engine allocates nothing per
+// processor.
 type procState struct {
 	lastSendStart logp.Time // start of most recent send; -inf if none
 	lastRecvStart logp.Time
@@ -82,72 +84,27 @@ type procState struct {
 	// In-network interval end times (sendAt+o+L) of messages currently in
 	// transit from / to this processor, for the capacity bound ceil(L/g).
 	// Sends happen in nondecreasing time order, so both are sorted queues.
-	outEnds []logp.Time
-	inEnds  []logp.Time
+	out, in endQueue
 }
 
-// flightHeap is a binary min-heap of in-flight messages ordered by arrival
-// time, then deterministic tie-break. It is hand-rolled rather than built on
-// container/heap so pushes do not box every Msg into an interface value —
-// Send is on the per-message hot path of every replay.
-type flightHeap []Msg
-
-func flightBefore(a, b Msg) bool {
-	if a.Arrive != b.Arrive {
-		return a.Arrive < b.Arrive
-	}
-	if a.To != b.To {
-		return a.To < b.To
-	}
-	if a.Item != b.Item {
-		return a.Item < b.Item
-	}
-	return a.From < b.From
+// endQueue is a FIFO of in-network interval ends, threaded through the
+// engine's shared ends slab. The zero value is empty.
+type endQueue struct {
+	head, tail int32 // slab indices of the oldest and newest end
+	n          int32
 }
 
-func (h *flightHeap) push(m Msg) {
-	*h = append(*h, m)
-	s := *h
-	for i := len(s) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !flightBefore(s[i], s[parent]) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-func (h *flightHeap) pop() Msg {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && flightBefore(s[l], s[min]) {
-			min = l
-		}
-		if r < n && flightBefore(s[r], s[min]) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		s[i], s[min] = s[min], s[i]
-		i = min
-	}
-	return top
+// endNode is one queued interval end in the ends slab.
+type endNode struct {
+	end  logp.Time
+	next int32
 }
 
 // Engine is a running LogP machine. Create one with New, inject origin items,
 // then either replay a schedule with Run or drive it interactively:
 // repeatedly TickTo / Send. A finished engine can be recycled for another
-// run with Reset, which reuses every internal allocation (the sharded
-// flight queue, the availability slab, per-processor buffers, and
+// run with Reset, which reuses every internal allocation (the flight
+// queue, the availability slab, per-processor buffers, and
 // executed-event storage), bounded by decayed retain watermarks so a
 // one-off huge case does not pin memory for the rest of a sweep.
 type Engine struct {
@@ -179,10 +136,12 @@ type Engine struct {
 	avail      availStore
 	executed   schedule.Schedule
 	violations []schedule.Violation
-	sendBuf    []schedule.Event // Replay scratch, reused across runs
+	ends       []endNode    // capacity-queue slab; append-only until Reset
+	sendBuf    []replaySend // Replay scratch, reused across runs
+	holds      []int32      // Replay sizing scratch: items per processor
 
 	// Decayed high-water marks feeding the Reset shrink policy (see Reset).
-	hwProcs, hwInflight, hwAvail, hwExecuted, hwSendBuf, hwViol watermark
+	hwProcs, hwInflight, hwAvail, hwExecuted, hwSendBuf, hwViol, hwEnds watermark
 
 	// Run-local metric tallies, flushed to obs.Default by Replay (with an
 	// amortized live flush every liveFlushEvery drained events; flushedEvents
@@ -225,7 +184,7 @@ func New(m logp.Machine, mode Mode) *Engine {
 
 // Reset reinitializes the engine for machine m in the given mode, reusing
 // the allocations of any previous run: the per-processor states (including
-// their buffers), the sharded in-flight queue, the availability slab, and
+// their buffers), the in-flight queue, the availability slab, and
 // the executed-event slice all keep their capacity. BufferCap is preserved.
 //
 // Reuse is bounded by decayed retain watermarks: each Reset folds the
@@ -238,7 +197,8 @@ func (e *Engine) Reset(m logp.Machine, mode Mode) {
 	hwSend := e.hwSendBuf.update(len(e.sendBuf))
 	hwViol := e.hwViol.update(len(e.violations))
 	hwFlight := e.hwInflight.update(e.inflight.peak)
-	hwAvail := e.hwAvail.update(len(e.avail.entries))
+	hwAvail := e.hwAvail.update(len(e.avail.slab))
+	hwEnds := e.hwEnds.update(len(e.ends))
 	hwProcs := e.hwProcs.update(m.P)
 
 	e.M, e.Mode = m, mode
@@ -259,12 +219,16 @@ func (e *Engine) Reset(m logp.Machine, mode Mode) {
 	} else {
 		e.violations = e.violations[:0]
 	}
-	e.inflight.reset(m.P)
-	e.inflight.shrink(hwFlight)
-	if oversized(cap(e.avail.entries), hwAvail, 1024) {
-		e.avail.entries = nil
+	if oversized(cap(e.ends), hwEnds, 1024) {
+		e.ends = nil
+	} else {
+		e.ends = e.ends[:0]
 	}
-	e.avail.reset(m.P)
+	if oversized(cap(e.holds), max(m.P, hwProcs), 1024) {
+		e.holds = nil
+	}
+	e.inflight.reset(hwFlight)
+	e.avail.reset(m.P, hwProcs, hwAvail)
 	e.nEvents, e.nCapChecks, e.bufferedNow = 0, 0, 0
 	e.flushedEvents = 0
 	if cap(e.procs) < m.P || oversized(cap(e.procs), max(m.P, hwProcs), 1024) {
@@ -283,19 +247,8 @@ func (e *Engine) Reset(m logp.Machine, mode Mode) {
 			ps.buffer = ps.buffer[:0]
 		}
 		ps.maxBuffer = 0
-		ps.outEnds = shrinkEnds(ps.outEnds)
-		ps.inEnds = shrinkEnds(ps.inEnds)
+		ps.out, ps.in = endQueue{}, endQueue{}
 	}
-}
-
-// shrinkEnds truncates a capacity-tracking queue for reuse, releasing it
-// when it has grown far past the handful of in-transit ends ceil(L/g)
-// usually bounds it to.
-func shrinkEnds(ends []logp.Time) []logp.Time {
-	if oversized(cap(ends), len(ends), 128) {
-		return nil
-	}
-	return ends[:0]
 }
 
 // Now returns the current simulation time.
@@ -403,39 +356,48 @@ func (e *Engine) checkCapacity(from, to int) {
 	capN := e.M.Capacity()
 	start := e.now + e.M.O
 	end := start + e.M.L
-	ps, qs := &e.procs[from], &e.procs[to]
-	ps.outEnds = pruneEnds(ps.outEnds, start)
-	qs.inEnds = pruneEnds(qs.inEnds, start)
+	out, in := &e.procs[from].out, &e.procs[to].in
+	e.pruneEnds(out, start)
+	e.pruneEnds(in, start)
 	e.nCapChecks++
-	if len(ps.outEnds)+1 > capN {
+	if int(out.n)+1 > capN {
 		e.violate(from, schedule.Violation{
 			Kind: schedule.VCapacity,
 			Msg: fmt.Sprintf("sim: %d messages in transit from proc %d at time %d (capacity %d)",
-				len(ps.outEnds)+1, from, start, capN),
+				out.n+1, from, start, capN),
 		})
 	}
-	if len(qs.inEnds)+1 > capN {
+	if int(in.n)+1 > capN {
 		e.violate(to, schedule.Violation{
 			Kind: schedule.VCapacity,
 			Msg: fmt.Sprintf("sim: %d messages in transit to proc %d at time %d (capacity %d)",
-				len(qs.inEnds)+1, to, start, capN),
+				in.n+1, to, start, capN),
 		})
 	}
-	ps.outEnds = append(ps.outEnds, end)
-	qs.inEnds = append(qs.inEnds, end)
+	e.pushEnd(out, end)
+	e.pushEnd(in, end)
 }
 
-// pruneEnds drops leading interval ends that are at or before s. Ends are
-// appended in nondecreasing order, so the expired prefix is contiguous.
-func pruneEnds(ends []logp.Time, s logp.Time) []logp.Time {
-	i := 0
-	for i < len(ends) && ends[i] <= s {
-		i++
+// pruneEnds drops the queue's leading interval ends that are at or before s.
+// Ends are appended in nondecreasing order, so the expired ones are a prefix.
+func (e *Engine) pruneEnds(q *endQueue, s logp.Time) {
+	for q.n > 0 && e.ends[q.head].end <= s {
+		q.head = e.ends[q.head].next
+		q.n--
 	}
-	if i > 0 {
-		ends = append(ends[:0], ends[i:]...)
+}
+
+// pushEnd appends end to the queue, taking a fresh node from the slab.
+func (e *Engine) pushEnd(q *endQueue, end logp.Time) {
+	i := int32(len(e.ends))
+	e.ends = append(e.ends, endNode{end: end})
+	if q.n == 0 {
+		q.head = i
+	} else {
+		e.ends[q.tail].next = i
 	}
-	return ends
+	q.tail = i
+	q.n++
 }
 
 // TickTo advances simulation time to t, processing all arrivals and (in
@@ -457,7 +419,7 @@ func (e *Engine) Tick() { e.TickTo(e.now + 1) }
 // in Buffered mode, lets each processor receive one buffered message if its
 // receive port is free.
 func (e *Engine) processArrivals() {
-	for e.inflight.len() > 0 && e.inflight.peek().Arrive <= e.now {
+	for e.inflight.len() > 0 && e.inflight.nextArrival() <= e.now {
 		msg := e.inflight.pop()
 		e.nEvents++
 		if e.nEvents-e.flushedEvents >= liveFlushEvery {
@@ -506,12 +468,12 @@ func (e *Engine) processArrivals() {
 			// Receive the earliest-arrived message not yet held; duplicates
 			// (already-held items) are received too — schedules decide what
 			// they send; the engine just models the machine. The drain order
-			// uses the same total comparator as the flight heap (flightBefore)
+			// uses the same total comparator as the flight queue (cmpFlight)
 			// so ties on (Arrive, Item) resolve by sender, never by buffer
 			// position.
 			best := 0
 			for i := 1; i < len(ps.buffer); i++ {
-				if flightBefore(ps.buffer[i], ps.buffer[best]) {
+				if cmpFlight(ps.buffer[i], ps.buffer[best]) < 0 {
 					best = i
 				}
 			}
@@ -659,10 +621,13 @@ func (e *Engine) Replay(s *schedule.Schedule, origins map[int]schedule.Origin) R
 		}
 		e.Tracer.NameThread(pid, e.M.P, "engine")
 	}
-	for item, og := range origins {
-		e.Inject(og.Proc, item, og.Time)
+	n := 0
+	for _, ev := range s.Events {
+		if ev.Op == schedule.OpSend && ev.Time >= 0 {
+			n++
+		}
 	}
-	sends := e.sendBuf[:0]
+	sends := slices.Grow(e.sendBuf[:0], n)
 	var horizon logp.Time
 	for _, ev := range s.Events {
 		if ev.Op != schedule.OpSend {
@@ -678,25 +643,17 @@ func (e *Engine) Replay(s *schedule.Schedule, origins map[int]schedule.Origin) R
 			})
 			continue
 		}
-		sends = append(sends, ev)
+		sends = append(sends, replaySend{Time: ev.Time, Proc: ev.Proc, Item: ev.Item, Peer: ev.Peer})
 		if ev.Time > horizon {
 			horizon = ev.Time
 		}
 	}
-	sort.Slice(sends, func(i, j int) bool {
-		a, b := sends[i], sends[j]
-		if a.Time != b.Time {
-			return a.Time < b.Time
-		}
-		if a.Proc != b.Proc {
-			return a.Proc < b.Proc
-		}
-		if a.Item != b.Item {
-			return a.Item < b.Item
-		}
-		return a.Peer < b.Peer
-	})
+	slices.SortFunc(sends, cmpSend)
 	e.sendBuf = sends
+	e.reserve(sends, origins)
+	for item, og := range origins {
+		e.Inject(og.Proc, item, og.Time)
+	}
 	horizon += s.M.O + s.M.L + 1
 	// Safety net against a stuck clock. Buffered drains need up to
 	// max(g, o) cycles per queued message after the last arrival, so the
@@ -733,7 +690,7 @@ func (e *Engine) Replay(s *schedule.Schedule, origins map[int]schedule.Origin) R
 				next = sends[i].Time
 			}
 			if e.inflight.len() > 0 {
-				if at := e.inflight.peek().Arrive; at < next {
+				if at := e.inflight.nextArrival(); at < next {
 					next = at
 				}
 			}
@@ -767,6 +724,62 @@ func (e *Engine) Replay(s *schedule.Schedule, origins map[int]schedule.Origin) R
 		MaxBuffer:  e.MaxBuffer(),
 		Violations: append([]schedule.Violation(nil), e.violations...),
 	}
+}
+
+// replaySend is one send Replay executes, cut down to the fields it reads,
+// so that sorting the sends moves 32 bytes an element rather than a 48-byte
+// schedule.Event.
+type replaySend struct {
+	Time             logp.Time
+	Proc, Item, Peer int
+}
+
+// cmpSend is Replay's full deterministic send order: time, then sender,
+// then item, then destination.
+func cmpSend(a, b replaySend) int {
+	if c := cmp.Compare(a.Time, b.Time); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Proc, b.Proc); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Item, b.Item); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Peer, b.Peer)
+}
+
+// reserve sizes the engine, before a replay starts, for the sends (sorted by
+// cmpSend) it is about to replay from origins, so that a cold engine grows
+// nothing mid-run and its allocation count does not depend on P. Each
+// message adds one send and one reception to the executed trace and one
+// out- and one in-end to the capacity slab; the flight queue gets room for
+// its exact peak (flightQueue.reserve); and each processor's availability
+// window gets room for every item it can come to hold — its origins plus
+// one per message to it. A recycled engine whose storage already fits
+// allocates nothing here.
+func (e *Engine) reserve(sends []replaySend, origins map[int]schedule.Origin) {
+	e.executed.Events = slices.Grow(e.executed.Events, 2*len(sends))
+	e.ends = slices.Grow(e.ends, 2*len(sends))
+	e.inflight.reserve(sends, e.M.O+e.M.L)
+
+	if cap(e.holds) < e.M.P {
+		e.holds = make([]int32, e.M.P)
+	} else {
+		e.holds = e.holds[:e.M.P]
+		clear(e.holds)
+	}
+	for _, og := range origins {
+		if og.Proc >= 0 && og.Proc < e.M.P {
+			e.holds[og.Proc]++
+		}
+	}
+	for _, ev := range sends {
+		if ev.Peer >= 0 && ev.Peer < e.M.P {
+			e.holds[ev.Peer]++
+		}
+	}
+	e.avail.reserve(e.holds)
 }
 
 func (e *Engine) finishTime() logp.Time {

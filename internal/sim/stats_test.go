@@ -2,13 +2,16 @@ package sim
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
 	"logpopt/internal/core"
 	"logpopt/internal/logp"
+	"logpopt/internal/logtime"
 	"logpopt/internal/obs"
 	"logpopt/internal/schedule"
+	"logpopt/internal/serve/sched"
 )
 
 // TestStatsPerProc checks the per-processor busy/idle breakdown sums to the
@@ -130,6 +133,34 @@ func TestTracerDisabledIsInert(t *testing.T) {
 	for i := range a.Events {
 		if a.Events[i] != b.Events[i] {
 			t.Fatalf("event %d differs: %+v vs %+v", i, a.Events[i], b.Events[i])
+		}
+	}
+}
+
+// TestStatsMatchesExecutedOracle pins the report path's shortcut: the
+// engine's Stats, computed over its unsorted executed events, equals
+// ComputeStats over the sorted copy Executed returns — the old path, kept
+// as the oracle — for every compilable op, on a LogP and a postal machine,
+// in both reception modes.
+func TestStatsMatchesExecutedOracle(t *testing.T) {
+	for _, m := range []logp.Machine{logp.MustNew(10, 3, 1, 2), logp.Postal(10, 3)} {
+		for _, op := range sched.Ops {
+			mm := m
+			if sched.PostalOp(op) {
+				mm = logp.Postal(m.P, m.L)
+			}
+			comp, err := sched.Compile(mm, op, 2, 40, logtime.Tree)
+			if err != nil {
+				t.Fatalf("%s on %v: %v", op, mm, err)
+			}
+			og := schedule.DerivedOrigins(comp.S)
+			for _, mode := range []Mode{Strict, Buffered} {
+				e, rep := Run(comp.S, mode, og)
+				want := schedule.ComputeStats(e.Executed(), rep.Finish, e.ProcMaxBuffers())
+				if got := e.Stats(); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s on %v, mode %d: Stats %+v, oracle %+v", op, mm, mode, got, want)
+				}
+			}
 		}
 	}
 }
